@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -20,7 +21,8 @@ import (
 // to count runs, events and virtual time, and totals the communication
 // matrix's bytes by path class. It is far cheaper than the full
 // -metrics collection (no per-pair cells, no timelines, no util
-// opt-in), so the footer costs little even on the full sweep.
+// opt-in), so the footer costs little even on the full sweep. It is a
+// trace.Forker, so parallel sweeps count each job on its own thread.
 type runStats struct {
 	runs    int64
 	events  int64
@@ -46,9 +48,30 @@ func (s *runStats) Emit(e trace.Event) {
 	}
 }
 
+// Fork returns empty stats for a stream that continues this one at a
+// run boundary.
+func (s *runStats) Fork() trace.Tracer { return &runStats{bytes: map[string]int64{}} }
+
+// Join folds a forked child in: this stream's open run closes (the
+// child's stream begins with a KRunBegin) and the child's open run
+// becomes this one's.
+func (s *runStats) Join(child trace.Tracer) {
+	c := child.(*runStats)
+	if c.events == 0 {
+		return
+	}
+	s.runs += c.runs
+	s.events += c.events
+	s.virtual += s.curMax + c.virtual
+	s.curMax = c.curMax
+	for class, b := range c.bytes {
+		s.bytes[class] += b
+	}
+}
+
 // footer prints the run summary: one deterministic line (virtual-time
 // and event totals are properties of the simulations, not the host).
-func (s *runStats) footer(w *os.File) {
+func (s *runStats) footer(w io.Writer) {
 	fmt.Fprintf(w, "\nrun summary: %d simulations, %d events, %s virtual time",
 		s.runs, s.events, fmtSeconds(s.virtual+s.curMax))
 	classes := make([]string, 0, len(s.bytes))

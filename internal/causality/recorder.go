@@ -1,9 +1,11 @@
 // Package causality is the post-mortem wait-state and critical-path
 // analysis engine (the Scalasca-style layer of DESIGN §14). A Recorder
-// rides a trace session's serialized, replay-ordered event stream —
-// the same stream the digest and the metrics manifest consume, which
-// is what makes the analysis byte-identical at any -parallel or
-// -shards worker count — and reconstructs the happens-before graph
+// rides a trace session's event stream — the same stream the digest
+// and the metrics manifest consume — and keeps each run's raw material
+// separately, so a parallel sweep can record every job into its own
+// forked Recorder and join the runs back in job-index order; that is
+// what makes the analysis byte-identical at any -parallel or -shards
+// worker count. It reconstructs the happens-before graph
 // from the completion-edge instants the model layers emit (barrier and
 // collective generations, lock handoffs, fabric/ShardNet deliveries,
 // fault retries, message matches; see trace.CatEdge). From the graph
@@ -162,6 +164,23 @@ type Recorder struct {
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
+
+// Fork returns an empty recorder for a stream that continues this one
+// at a run boundary.
+func (rec *Recorder) Fork() trace.Tracer { return NewRecorder() }
+
+// Join appends a forked child's runs: this recorder's open run closes
+// (the child's stream begins with a KRunBegin), the child's closed runs
+// follow it, and the child's open run becomes this recorder's.
+func (rec *Recorder) Join(child trace.Tracer) {
+	c := child.(*Recorder)
+	if len(c.runs) == 0 && c.cur == nil {
+		return
+	}
+	rec.endRun()
+	rec.runs = append(rec.runs, c.runs...)
+	rec.cur = c.cur
+}
 
 // ObserveEdge opts the recorder into completion-edge events.
 func (rec *Recorder) ObserveEdge() bool { return true }

@@ -8,7 +8,9 @@ import (
 // behind one trace.Tracer, and tracks the stream-level facts a manifest
 // records: run count, seeds, event count, digest, total virtual time.
 // Attach it to a trace session (Session.Attach) so it rides the same
-// serialized, replay-ordered stream as the digest — that is what makes
+// stream as the digest. It is a trace.Forker: a parallel sweep feeds
+// each job into its own forked Collection and joins them in job-index
+// order, and every aggregate merges exactly — that is what makes
 // -metrics manifests byte-identical at any -parallel level.
 //
 // Collection opts into link-occupancy events (trace.UtilObserver), so
@@ -77,6 +79,32 @@ func (c *Collection) Emit(e trace.Event) {
 	case trace.KProcExit:
 		c.Reg.Add("procs.exited", 1)
 	}
+}
+
+// Fork returns an empty collection for a stream that continues this
+// one at a run boundary.
+func (c *Collection) Fork() trace.Tracer { return NewCollection() }
+
+// Join folds a forked child in: this collection's open run closes (the
+// child's stream begins with a KRunBegin), the child's aggregates merge
+// in, and the child's open run becomes this collection's.
+func (c *Collection) Join(child trace.Tracer) {
+	k := child.(*Collection)
+	if k.dg.Events() == 0 {
+		return
+	}
+	c.endRun()
+	c.dg.Join(k.dg)
+	c.runs += k.runs
+	for _, s := range k.seeds {
+		c.addSeed(s)
+	}
+	c.totalNS += k.totalNS
+	c.curMax = k.curMax
+	c.Reg.merge(k.Reg)
+	c.Comm.merge(k.Comm)
+	c.Util.join(k.Util)
+	c.Prof.join(k.Prof)
 }
 
 // endRun closes out the current run's per-run state.

@@ -53,6 +53,19 @@ func (m *CommMatrix) Record(e trace.Event) {
 	c.bytes += e.Arg
 }
 
+// merge adds o's cells into m. o is consumed; its cells may be adopted.
+func (m *CommMatrix) merge(o *CommMatrix) {
+	for k, oc := range o.cells {
+		c := m.cells[k]
+		if c == nil {
+			m.cells[k] = oc
+			continue
+		}
+		c.msgs += oc.msgs
+		c.bytes += oc.bytes
+	}
+}
+
 // Messages reports the total transfer count across all cells.
 func (m *CommMatrix) Messages() int64 {
 	var n int64

@@ -92,6 +92,33 @@ func (p *Profile) Record(e trace.Event) {
 	}
 }
 
+// join folds a profile that continued this one's stream at a run
+// boundary: phase and folded-stack aggregates add, and the child's open
+// spans (its last run's) become this profile's. Call EndRun first. c is
+// consumed; its aggregates may be adopted.
+func (p *Profile) join(c *Profile) {
+	for k, ca := range c.phases {
+		a := p.phases[k]
+		if a == nil {
+			p.phases[k] = ca
+			continue
+		}
+		a.count += ca.count
+		a.incl += ca.incl
+		a.excl += ca.excl
+	}
+	for k, ca := range c.folded {
+		a := p.folded[k]
+		if a == nil {
+			p.folded[k] = ca
+			continue
+		}
+		a.count += ca.count
+		a.excl += ca.excl
+	}
+	p.open = c.open
+}
+
 // EndRun discards spans left open at a run boundary (they never closed
 // within their run, so they have no measurable duration).
 func (p *Profile) EndRun() {

@@ -20,8 +20,10 @@ import (
 
 // Registry holds named counters, gauges and histograms. It is not
 // safe for concurrent use; like every trace sink it relies on the
-// engine's serialized emission (and the sweep layer's buffer replay)
-// for ordering.
+// engine's serialized emission for ordering. A parallel sweep gives
+// each job its own registry (inside a forked Collection) and merges
+// them; every update is commutative (counters add, gauges take the
+// maximum, histograms add bucket-wise), so the merge is exact.
 type Registry struct {
 	counters map[string]int64
 	gauges   map[string]int64
@@ -65,6 +67,36 @@ func (r *Registry) Observe(name string, v int64) {
 		r.hists[name] = h
 	}
 	h.observe(v)
+}
+
+// merge folds o into r: counters add, gauges keep the larger value,
+// histograms merge bucket-wise. o is consumed; its histograms may be
+// adopted by r.
+func (r *Registry) merge(o *Registry) {
+	for k, v := range o.counters {
+		r.counters[k] += v
+	}
+	for k, v := range o.gauges {
+		r.SetMax(k, v)
+	}
+	for k, oh := range o.hists {
+		h := r.hists[k]
+		if h == nil {
+			r.hists[k] = oh
+			continue
+		}
+		h.Count += oh.Count
+		h.Sum += oh.Sum
+		if oh.Min < h.Min {
+			h.Min = oh.Min
+		}
+		if oh.Max > h.Max {
+			h.Max = oh.Max
+		}
+		for i, n := range oh.b {
+			h.b[i] += n
+		}
+	}
 }
 
 // Hist reports the named histogram, or nil if it has no samples.

@@ -31,6 +31,7 @@ const utilInitialWidth = int64(1024)
 type UtilTimelines struct {
 	links map[string]*linkUtil
 	width int64 // current interval width, ns
+	total int64 // summed lengths of the closed runs, ns
 }
 
 type linkUtil struct {
@@ -42,6 +43,7 @@ type linkUtil struct {
 	observed int64 // total ns this link was under observation
 	peak     int64
 	capacity int64 // bytes/s as reported by the fabric; 0 = infinite
+	born     int64 // the collector's total when the link was first seen
 	busyAt   [utilIntervals]int64
 }
 
@@ -55,7 +57,7 @@ func NewUtilTimelines() *UtilTimelines {
 func (u *UtilTimelines) Record(e trace.Event) {
 	l := u.links[e.Name]
 	if l == nil {
-		l = &linkUtil{name: e.Name, capacity: e.Arg2}
+		l = &linkUtil{name: e.Name, capacity: e.Arg2, born: u.total}
 		u.links[e.Name] = l
 	}
 	u.advance(l, e.Time)
@@ -138,6 +140,49 @@ func (u *UtilTimelines) EndRun(end int64) {
 		l.last = 0
 		l.active = 0
 	}
+	u.total += end
+}
+
+// join folds timelines that continued this collector's stream at a run
+// boundary. Call EndRun first. The narrower timeline re-bins up to the
+// wider width (pairwise re-binning is exact, so the result matches the
+// width one collector would have reached), then per-link totals add and
+// peaks take the maximum. Observed time needs care: EndRun advances
+// every known link, touched or not, so a link this collector already
+// knows is observed for the whole of c's closed runs, including the
+// ones before c first saw it. The child's open run (its last) becomes
+// this collector's. c is consumed; its links may be adopted.
+func (u *UtilTimelines) join(c *UtilTimelines) {
+	for u.width < c.width {
+		u.rebin()
+	}
+	for c.width < u.width {
+		c.rebin()
+	}
+	for name, l := range u.links {
+		cl := c.links[name]
+		if cl == nil {
+			l.observed += c.total
+			continue
+		}
+		l.busy += cl.busy
+		l.integral += cl.integral
+		l.observed += cl.born + cl.observed
+		if cl.peak > l.peak {
+			l.peak = cl.peak
+		}
+		for i, b := range cl.busyAt {
+			l.busyAt[i] += b
+		}
+		l.active, l.last = cl.active, cl.last
+	}
+	for name, cl := range c.links {
+		if u.links[name] == nil {
+			cl.born += u.total
+			u.links[name] = cl
+		}
+	}
+	u.total += c.total
 }
 
 // UtilPoint is one non-empty timeline interval: interval index I (the

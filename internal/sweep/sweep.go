@@ -2,17 +2,22 @@
 // bounded worker pool. Every simulation in this repository is a
 // self-contained deterministic engine, so sweep points can execute on
 // parallel OS threads without perturbing each other's results; the only
-// shared resource is the process-wide default tracer, which Run
-// virtualizes so that the merged event stream (and hence the printed
-// TraceDigest) is byte-identical at any worker count.
+// shared resource is the process-wide default tracer. Run hands each
+// job its own fork of that tracer chain (trace.Fork), so the sinks
+// consume every job's events inside the job, on the job's thread, and
+// joins the forks back in job-index order once the pool drains. The
+// joined sinks (and hence the printed TraceDigest, manifests and
+// analyses) are byte-identical at any worker count, 1 included: every
+// width takes the same fork/join path.
 //
 // Contract for jobs: job(i, tr) must build and run the i'th sweep point,
 // installing tr in every engine it creates (via the app Config's Tracer
 // field). tr is nil when the ambient default tracer already reaches
-// those engines — i.e. in sequential mode — so jobs must pass it through
+// those engines — when there is no default tracer, or when it cannot be
+// forked and the jobs run sequentially — so jobs must pass it through
 // unconditionally and never read trace.Default themselves. Jobs must
-// not call Run recursively: a nested parallel sweep would detach its
-// engines from the outer job's capture buffer.
+// not call Run recursively: a nested sweep would see no default tracer
+// and its engines would trace into nothing.
 package sweep
 
 import (
@@ -47,61 +52,39 @@ func Workers() int {
 }
 
 // Run executes jobs 0..n-1 and returns the lowest-indexed error, if any.
-// With one worker the jobs run in index order on the calling goroutine.
-// With more, they are distributed over a pool of goroutines; the default
-// tracer is detached for the duration and each job traces into a private
-// trace.Buffer instead, replayed into the real sink in index order after
-// the last job finishes. Results must be written into index-addressed
-// slots (no appends), so the rendered output is identical at any width.
+// When the default tracer chain is forkable (every built-in session sink
+// is), each job traces into its own fork, the jobs are distributed over
+// a pool of Workers() goroutines, and after the last job returns the
+// forks are joined into the default chain in index order; every job
+// runs, even after one fails. The default tracer is detached while the
+// pool runs and restored before Run returns. When the chain cannot be
+// forked, the jobs run in index order on the calling goroutine under
+// the ambient default, stopping at the first error. Results must be
+// written into index-addressed slots (no appends), so the rendered
+// output is identical at any width.
 func Run(n int, job func(i int, tr trace.Tracer) error) error {
 	if n <= 0 {
 		return nil
 	}
+	saved := trace.Default()
+	forks := make([]trace.Tracer, n)
+	for i := range forks {
+		f, ok := trace.Fork(saved)
+		if !ok {
+			return sequential(n, job)
+		}
+		forks[i] = f
+	}
+
+	// Engines created by the jobs must reach only their job's fork, never
+	// the shared chain the forks are joined into.
+	trace.SetDefault(nil)
+	defer trace.SetDefault(saved)
+
 	w := Workers()
 	if w > n {
 		w = n
 	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := job(i, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Detach the default tracer: engines created by concurrent jobs must
-	// not interleave events into the shared sink. Restored below, after
-	// the deterministic replay.
-	saved := trace.Default()
-	trace.SetDefault(nil)
-
-	tracers := make([]trace.Tracer, n)
-	bufs := make([]*trace.Buffer, n)
-	if saved != nil {
-		// The buffers must advertise the real sink's opt-in capabilities
-		// (per-advance clocks, link occupancy): the engines only see the
-		// buffer, and an unwrapped one would silently drop those events
-		// from the replayed — and digested — stream.
-		clocked := trace.WantsClock(saved)
-		util := trace.WantsUtil(saved)
-		edged := trace.WantsEdge(saved)
-		for i := range bufs {
-			bufs[i] = trace.NewBuffer()
-			t := trace.Tracer(bufs[i])
-			if clocked {
-				t = trace.Clocked(t)
-			}
-			if util {
-				t = trace.Utiled(t)
-			}
-			if edged {
-				t = trace.Edged(t)
-			}
-			tracers[i] = t
-		}
-	}
-
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -114,24 +97,29 @@ func Run(n int, job func(i int, tr trace.Tracer) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = job(i, tracers[i])
+				errs[i] = job(i, forks[i])
 			}
 		}()
 	}
 	wg.Wait()
 
-	if saved != nil {
-		// Release each buffer as it drains: on big sweeps the captured
-		// streams dominate the sweep's memory footprint.
-		for i, b := range bufs {
-			b.ReplayInto(saved)
-			bufs[i], tracers[i] = nil, nil
-		}
+	for i, f := range forks {
+		trace.Join(saved, f)
+		forks[i] = nil // release each job's sinks as they fold in
 	}
-	trace.SetDefault(saved)
-
 	for _, err := range errs {
 		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sequential runs the jobs in index order on the caller, under the
+// ambient default tracer.
+func sequential(n int, job func(i int, tr trace.Tracer) error) error {
+	for i := 0; i < n; i++ {
+		if err := job(i, nil); err != nil {
 			return err
 		}
 	}

@@ -1,12 +1,12 @@
 package trace
 
-// Buffer is a Tracer that records the event stream in memory for later
-// replay. It is the building block of deterministic parallel sweeps:
-// each concurrently-running simulation traces into its own Buffer, and
-// once every run has finished the buffers are replayed into the real
-// sink in a fixed order, producing a stream — and therefore a Digest —
-// identical to a sequential execution. Like every Tracer it needs no
-// locking: a single engine delivers events from one goroutine at a time.
+// Buffer is a Tracer that records the event stream in memory. It is
+// the per-lane window buffer of sharded execution (sim.ShardGroup):
+// each lane engine traces into its own Buffer while the lanes advance
+// concurrently, and at every window barrier the group merges the lane
+// streams into the real sink with MergeStreams and resets the buffers.
+// Like every Tracer it needs no locking: a single engine delivers
+// events from one goroutine at a time.
 type Buffer struct {
 	events []Event
 }
@@ -19,13 +19,6 @@ func (b *Buffer) Emit(e Event) { b.events = append(b.events, e) }
 
 // Len reports the number of recorded events.
 func (b *Buffer) Len() int { return len(b.events) }
-
-// ReplayInto delivers the recorded stream to t in emission order.
-func (b *Buffer) ReplayInto(t Tracer) {
-	for _, e := range b.events {
-		t.Emit(e)
-	}
-}
 
 // Events exposes the recorded stream. The slice is the buffer's live
 // backing store: read it, do not retain it across a Reset or Emit.

@@ -22,6 +22,14 @@ func NewChromeWriter() *ChromeWriter { return &ChromeWriter{} }
 // Emit buffers one event.
 func (w *ChromeWriter) Emit(e Event) { w.events = append(w.events, e) }
 
+// Fork returns an empty writer for a stream that continues this one.
+func (w *ChromeWriter) Fork() Tracer { return NewChromeWriter() }
+
+// Join appends the forked child's buffered events.
+func (w *ChromeWriter) Join(child Tracer) {
+	w.events = append(w.events, child.(*ChromeWriter).events...)
+}
+
 // Events reports how many events are buffered.
 func (w *ChromeWriter) Events() int { return len(w.events) }
 

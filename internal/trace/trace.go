@@ -7,7 +7,9 @@
 // JSON, loadable in Perfetto with virtual time as the timeline and procs
 // as tracks), and Digest (an order-sensitive hash of the event stream —
 // the run's fingerprint, identical across same-seed runs by the engine's
-// determinism guarantee).
+// determinism guarantee). ChromeWriter and Digest are Forkers (fork.go):
+// a parallel sweep feeds each job into its own fork of the session's
+// sinks and joins the forks back in job order.
 //
 // The package sits below internal/sim and imports nothing from the
 // repository, so every layer can depend on it. Times are raw virtual

@@ -9,7 +9,7 @@
 // stream or writing a file. With -metrics=out.json the run additionally
 // aggregates the stream into a JSON run manifest (communication matrix,
 // utilization timelines, virtual-time profile; see internal/metrics and
-// cmd/upc-metrics). With -analyze=out.json the run replays the stream
+// cmd/upc-metrics). With -analyze=out.json the run feeds the stream
 // through the causality engine and writes the wait-state / critical-path
 // analysis plus a .folded flamegraph companion (see internal/causality
 // and cmd/upc-analyze); when -metrics is also given the analysis rides
