@@ -1,7 +1,9 @@
 package ft
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/topo"
 )
@@ -333,5 +335,32 @@ func TestSMTThreadsSlowComputePhases(t *testing.T) {
 	gain := float64(full.Phases["fft2d"]) / float64(smt.Phases["fft2d"])
 	if gain < 1.05 || gain > 1.35 {
 		t.Errorf("SMT fft2d gain = %.2f, want ~1.2", gain)
+	}
+}
+
+// TestRepeatedHybridRunsLeaveNoGoroutines: a hybrid run's sub-thread
+// workers are daemons still parked when the engine drains. They must be
+// released with the run, or every run leaks its team's goroutines — and
+// through them the engine, runtime and shared arrays.
+func TestRepeatedHybridRunsLeaveNoGoroutines(t *testing.T) {
+	cfg := verifyCfg(HybridPool, SplitPhase, 2, 1, 4)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A finished proc's goroutine exits just after its last handoff;
+	// give those a moment.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 1000 && after > before; i++ {
+		time.Sleep(time.Millisecond) //upcvet:wallclock -- host-side wait for exiting goroutines; reads no simulation state
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("goroutines: %d before, %d after 5 hybrid runs", before, after)
 	}
 }

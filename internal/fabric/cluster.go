@@ -224,8 +224,8 @@ type Endpoint struct {
 // keep a shared connection below per-process connections in practice).
 func (ep *Endpoint) MarkShared() {
 	ep.Shared = true
-	if agg := 0.95 * ep.c.Conduit.NICBW; agg > ep.conn.Capacity {
-		ep.conn.Capacity = agg
+	if agg := 0.95 * ep.c.Conduit.NICBW; agg > ep.conn.capacity {
+		ep.c.Net.SetCapacity(ep.conn, agg)
 	}
 }
 

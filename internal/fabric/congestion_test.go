@@ -62,13 +62,13 @@ func TestMarkSharedWidensAggregate(t *testing.T) {
 	e := sim.New(1)
 	c := NewCluster(e, lehmanForTest(), QDRInfiniBand())
 	ep := c.MustEndpoint(0)
-	if ep.conn.Capacity != c.Conduit.ConnBW {
-		t.Fatalf("private connection capacity = %g", ep.conn.Capacity)
+	if ep.conn.capacity != c.Conduit.ConnBW {
+		t.Fatalf("private connection capacity = %g", ep.conn.capacity)
 	}
 	ep.MarkShared()
 	want := 0.95 * c.Conduit.NICBW
-	if ep.conn.Capacity != want {
-		t.Errorf("shared connection capacity = %g, want %g", ep.conn.Capacity, want)
+	if ep.conn.capacity != want {
+		t.Errorf("shared connection capacity = %g, want %g", ep.conn.capacity, want)
 	}
 	if !ep.Shared {
 		t.Error("MarkShared must set the flag")

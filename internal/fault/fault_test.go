@@ -113,19 +113,19 @@ func TestCrashAndReviveTimeline(t *testing.T) {
 func TestDegradeScalesAndRestores(t *testing.T) {
 	e, c := testCluster(1)
 	l := c.LinkByName("nic-tx0")
-	base := l.Capacity
+	base := l.Capacity()
 	if _, err := Install(c, &Schedule{Actions: []Action{
 		{Op: OpDegrade, At: 0.001, Until: 0.002, Link: "nic-tx0", Factor: 0.25, Src: -1, Dst: -1}}}); err != nil {
 		t.Fatal(err)
 	}
 	e.After(1500*sim.Microsecond, func() {
-		if l.Capacity != base*0.25 {
-			t.Errorf("degraded capacity = %g, want %g", l.Capacity, base*0.25)
+		if l.Capacity() != base*0.25 {
+			t.Errorf("degraded capacity = %g, want %g", l.Capacity(), base*0.25)
 		}
 	})
 	e.After(2500*sim.Microsecond, func() {
-		if l.Capacity != base {
-			t.Errorf("restored capacity = %g, want %g", l.Capacity, base)
+		if l.Capacity() != base {
+			t.Errorf("restored capacity = %g, want %g", l.Capacity(), base)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -153,15 +153,15 @@ func TestFlapTogglesAndEndsUp(t *testing.T) {
 	} {
 		s := s
 		e.After(s.at, func() {
-			if l.Down != s.want {
-				t.Errorf("link down at %v = %v, want %v", s.at, l.Down, s.want)
+			if l.Down() != s.want {
+				t.Errorf("link down at %v = %v, want %v", s.at, l.Down(), s.want)
 			}
 		})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Down {
+	if l.Down() {
 		t.Error("flapped link must end the run up")
 	}
 }

@@ -71,15 +71,13 @@ func Install(cl *fabric.Cluster, sched *Schedule) (*Injector, error) {
 				return nil, fmt.Errorf("fault: action %d: unknown link %q", i, a.Link)
 			}
 			inj.at(a.At, func() {
-				base := l.Capacity
-				l.Capacity = base * a.Factor
+				base := l.Capacity()
 				inj.event("degrade")
-				cl.Net.Nudge()
+				cl.Net.SetCapacity(l, base*a.Factor)
 				if a.Until > 0 {
 					inj.at(a.Until, func() {
-						l.Capacity = base
 						inj.event("restore")
-						cl.Net.Nudge()
+						cl.Net.SetCapacity(l, base)
 					})
 				}
 			})
@@ -93,20 +91,19 @@ func Install(cl *fabric.Cluster, sched *Schedule) (*Injector, error) {
 			var tick func()
 			tick = func() {
 				if inj.eng.Now() >= until {
-					if l.Down {
-						l.Down = false
+					if l.Down() {
 						inj.event("restore")
-						cl.Net.Nudge()
+						cl.Net.SetDown(l, false)
 					}
 					return
 				}
-				l.Down = !l.Down
-				if l.Down {
+				down := !l.Down()
+				if down {
 					inj.event("flap-down")
 				} else {
 					inj.event("flap-up")
 				}
-				cl.Net.Nudge()
+				cl.Net.SetDown(l, down)
 				eng.After(period, tick)
 			}
 			inj.at(a.At, tick)

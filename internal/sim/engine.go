@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sort"
 
@@ -170,7 +171,8 @@ func (e *Engine) unpark(p *Proc) {
 }
 
 // Run executes the simulation until no events remain. It returns a
-// deadlock error if live processes remain parked with an empty event heap.
+// deadlock error if live processes remain parked with an empty event heap;
+// daemons still parked when the run ends cleanly are released.
 // A panic inside a simulated process is re-raised with its origin noted.
 //
 // Control transfers directly between simulated processes: the goroutine
@@ -197,7 +199,25 @@ func (e *Engine) Run() error {
 		stuck := e.stuckProcs()
 		return fmt.Errorf("sim: deadlock at %v: %d live processes: %v", e.now, e.nLive, stuck)
 	}
+	e.reap()
 	return nil
+}
+
+// reap releases the daemons still parked when a run ends cleanly: each
+// one's goroutine unwinds and exits instead of blocking on its resume
+// channel forever, pinning the engine and everything its closures
+// reference. Reaping is invisible to the simulation — no clock move and
+// no trace event — and reaped procs are finished, so nothing can wake
+// them again. Call only while the engine is quiescent.
+func (e *Engine) reap() {
+	for _, p := range e.procs {
+		if !p.started || p.finished {
+			continue
+		}
+		p.reaped = true
+		p.resume <- struct{}{}
+		<-e.parked
+	}
 }
 
 // runWindow advances the lane up to (but not including) limit: it
@@ -345,6 +365,7 @@ type Proc struct {
 	started  bool
 	finished bool
 	daemon   bool
+	reaped   bool   // released by Engine.reap after the run ended
 	blocked  string // park reason; empty while runnable
 }
 
@@ -352,7 +373,8 @@ type Proc struct {
 func (p *Proc) ID() int { return p.id }
 
 // SetDaemon marks the process as a daemon: a simulation may finish while
-// daemons are still parked (persistent pool workers waiting for tasks).
+// daemons are still parked (persistent pool workers waiting for tasks),
+// and finishing releases them: a daemon never resumes after its run.
 // Call it from the process itself or before it first runs.
 func (p *Proc) SetDaemon(on bool) {
 	if p.daemon == on {
@@ -381,6 +403,17 @@ func (p *Proc) Now() Time { return p.eng.now }
 func (p *Proc) top() {
 	defer func() {
 		e := p.eng
+		if p.reaped {
+			// Released after the run: unwind silently and hand the token
+			// back to the reaper.
+			p.finished = true
+			e.nLive--
+			if p.daemon {
+				e.nDaemon--
+			}
+			e.parked <- struct{}{}
+			return
+		}
 		if r := recover(); r != nil && e.panicVal == nil {
 			e.panicVal = r
 			e.panicProc = p.name
@@ -417,6 +450,9 @@ func (p *Proc) park(reason string) {
 		p.selfGrant = false
 	} else {
 		<-p.resume
+		if p.reaped {
+			runtime.Goexit()
+		}
 	}
 	p.blocked = ""
 }

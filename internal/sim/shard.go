@@ -486,6 +486,9 @@ func (g *ShardGroup) Run() error {
 		return fmt.Errorf("sim: shard deadlock after %d rounds: %d stuck: %v",
 			g.rounds, len(stuck), stuck)
 	}
+	for _, e := range g.lanes {
+		e.reap()
+	}
 	return nil
 }
 
