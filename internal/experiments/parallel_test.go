@@ -12,14 +12,14 @@ import (
 
 // renderAll captures what the upc-stream and upc-uts style runs would
 // print at the given sweep width, together with the TraceDigest their
-// -trace session would hash. It restores the previous width and default
-// tracer on return.
-func renderAll(t *testing.T, workers int, render func(w *strings.Builder) error) (string, uint64, int64) {
+// -trace session would hash. Extra sinks ride the same stream. It
+// restores the previous width and default tracer on return.
+func renderAll(t *testing.T, workers int, render func(w *strings.Builder) error, extra ...trace.Tracer) (string, uint64, int64) {
 	t.Helper()
 	prevWorkers := sweep.Workers()
 	prevTracer := trace.Default()
 	dg := trace.NewDigest()
-	trace.SetDefault(dg)
+	trace.SetDefault(trace.Multi(append([]trace.Tracer{dg}, extra...)...))
 	sweep.SetWorkers(workers)
 	defer func() {
 		sweep.SetWorkers(prevWorkers)

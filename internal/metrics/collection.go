@@ -15,7 +15,14 @@ import (
 //
 // Collection opts into link-occupancy events (trace.UtilObserver), so
 // installing one enables the fabric's CatLink emissions for the whole
-// sink chain of the engines built afterwards.
+// sink chain of the engines built afterwards. It hashes the stream into
+// its own digest, which a trace session adopts when the collection is
+// attached (trace.DigestCarrier), so an observed stream is hashed once.
+//
+// The registry keys an event feeds ("comm.put.msgs", "util.peak.nic0",
+// ...) are derived from its labels once per distinct label, and the
+// registry slots they name are cached, so the per-event path builds no
+// strings.
 type Collection struct {
 	Reg  *Registry
 	Comm *CommMatrix
@@ -28,6 +35,22 @@ type Collection struct {
 	curMax    int64 // latest virtual time seen in the current run
 	totalNS   int64 // summed final times of completed runs
 	finalized bool
+
+	// Registry slots by label.
+	ops      map[string]slotPair    // comm op: msgs and bytes counters
+	sizes    map[string]*Histogram  // comm path class: size histogram
+	peaks    map[string]*int64      // link: util.peak gauge
+	instants map[[2]string]slotPair // instant cat, name: n and sum counters
+	counters map[string]*int64      // counter name: counter
+}
+
+// slotPair is a count slot and a sum slot fed by one label.
+type slotPair struct{ n, sum *int64 }
+
+// add counts one occurrence carrying v.
+func (p slotPair) add(v int64) {
+	*p.n++
+	*p.sum += v
 }
 
 // NewCollection returns an empty collection.
@@ -38,6 +61,12 @@ func NewCollection() *Collection {
 		Util: NewUtilTimelines(),
 		Prof: NewProfile(),
 		dg:   trace.NewDigest(),
+
+		ops:      map[string]slotPair{},
+		sizes:    map[string]*Histogram{},
+		peaks:    map[string]*int64{},
+		instants: map[[2]string]slotPair{},
+		counters: map[string]*int64{},
 	}
 }
 
@@ -61,19 +90,43 @@ func (c *Collection) Emit(e trace.Event) {
 		switch e.Cat {
 		case trace.CatComm:
 			c.Comm.Record(e)
-			c.Reg.Add("comm."+e.Name+".msgs", 1)
-			c.Reg.Add("comm."+e.Name+".bytes", e.Arg)
-			c.Reg.Observe("comm.size."+e.Aux, e.Arg)
+			op, ok := c.ops[e.Name]
+			if !ok {
+				op = slotPair{c.Reg.counter("comm." + e.Name + ".msgs"), c.Reg.counter("comm." + e.Name + ".bytes")}
+				c.ops[e.Name] = op
+			}
+			op.add(e.Arg)
+			h := c.sizes[e.Aux]
+			if h == nil {
+				h = c.Reg.hist("comm.size." + e.Aux)
+				c.sizes[e.Aux] = h
+			}
+			h.observe(e.Arg)
 		case trace.CatLink:
 			c.Util.Record(e)
-			c.Reg.SetMax("util.peak."+e.Name, e.Arg)
+			g := c.peaks[e.Name]
+			if g == nil {
+				g = c.Reg.gauge("util.peak."+e.Name, e.Arg)
+				c.peaks[e.Name] = g
+			}
+			setMax(g, e.Arg)
 		default:
-			k := "instant." + e.Cat + "/" + e.Name
-			c.Reg.Add(k+".n", 1)
-			c.Reg.Add(k+".sum", e.Arg)
+			k := [2]string{e.Cat, e.Name}
+			in, ok := c.instants[k]
+			if !ok {
+				p := "instant." + e.Cat + "/" + e.Name
+				in = slotPair{c.Reg.counter(p + ".n"), c.Reg.counter(p + ".sum")}
+				c.instants[k] = in
+			}
+			in.add(e.Arg)
 		}
 	case trace.KCounter:
-		c.Reg.Add("counter."+e.Name, e.Arg)
+		n := c.counters[e.Name]
+		if n == nil {
+			n = c.Reg.counter("counter." + e.Name)
+			c.counters[e.Name] = n
+		}
+		*n += e.Arg
 	case trace.KProcSpawn:
 		c.Reg.Add("procs.spawned", 1)
 	case trace.KProcExit:
@@ -135,10 +188,14 @@ func (c *Collection) Runs() int64 { return c.runs }
 // Events reports the number of events observed so far.
 func (c *Collection) Events() int64 { return c.dg.Events() }
 
-// Digest reports the order-sensitive hash of the observed stream; it
-// matches the trace session's digest because both consume the same
-// serialized event sequence.
+// Digest reports the order-sensitive hash of the observed stream: the
+// trace session's digest, which is this collection's own once the
+// collection is attached to the session.
 func (c *Collection) Digest() uint64 { return c.dg.Sum64() }
+
+// StreamDigest returns the digest the collection hashes the stream
+// into; it makes the collection a trace.DigestCarrier.
+func (c *Collection) StreamDigest() *trace.Digest { return c.dg }
 
 // VirtualNS reports the summed final virtual time across runs,
 // including the still-open one.

@@ -15,15 +15,34 @@ import (
 // unique span stack with the exclusive virtual nanoseconds spent
 // there, ready for any flamegraph renderer that accepts collapsed
 // stacks.
+//
+// Stacks are kept as a call tree: an open span holds the tree node of
+// its stack, and a span beginning inside it resolves its own node among
+// that node's children. The per-event path builds no strings; stack
+// names are rendered once, at export.
 type Profile struct {
 	open   map[int32][]profFrame
-	phases map[string]*phaseAgg
-	folded map[string]*foldAgg
+	root   *profNode // its children are the outermost spans
+	phases map[spanKey]*phaseAgg
+}
+
+// spanKey names a phase: a span's cat and name.
+type spanKey struct{ cat, name string }
+
+// String renders the key as "cat/name".
+func (k spanKey) String() string { return k.cat + "/" + k.name }
+
+// profNode is one call-tree node: a unique stack of spans, outermost
+// first, ending in key.
+type profNode struct {
+	key      spanKey
+	children map[spanKey]*profNode
+	count    int64 // closed spans with exactly this stack
+	excl     int64 // their exclusive ns
 }
 
 type profFrame struct {
-	key   string // cat/name
-	path  string // folded stack including this frame
+	node  *profNode
 	start int64
 	child int64 // inclusive ns of completed children
 }
@@ -43,21 +62,45 @@ type foldAgg struct {
 func NewProfile() *Profile {
 	return &Profile{
 		open:   map[int32][]profFrame{},
-		phases: map[string]*phaseAgg{},
-		folded: map[string]*foldAgg{},
+		root:   &profNode{},
+		phases: map[spanKey]*phaseAgg{},
 	}
+}
+
+// child resolves the node for span k opened inside n's stack.
+func (n *profNode) child(k spanKey) *profNode {
+	c := n.children[k]
+	if c == nil {
+		if n.children == nil {
+			n.children = map[spanKey]*profNode{}
+		}
+		c = &profNode{key: k}
+		n.children[k] = c
+	}
+	return c
+}
+
+// phase resolves the aggregate of phase k.
+func (p *Profile) phase(k spanKey) *phaseAgg {
+	a := p.phases[k]
+	if a == nil {
+		a = &phaseAgg{}
+		p.phases[k] = a
+	}
+	return a
 }
 
 // Record aggregates one span event; other kinds are ignored.
 func (p *Profile) Record(e trace.Event) {
 	switch e.Kind {
 	case trace.KSpanBegin:
-		key := e.Cat + "/" + e.Name
-		path := key
-		if stack := p.open[e.Proc]; len(stack) > 0 {
-			path = stack[len(stack)-1].path + ";" + key
+		stack := p.open[e.Proc]
+		parent := p.root
+		if len(stack) > 0 {
+			parent = stack[len(stack)-1].node
 		}
-		p.open[e.Proc] = append(p.open[e.Proc], profFrame{key: key, path: path, start: e.Time})
+		n := parent.child(spanKey{e.Cat, e.Name})
+		p.open[e.Proc] = append(stack, profFrame{node: n, start: e.Time})
 	case trace.KSpanEnd:
 		stack := p.open[e.Proc]
 		if len(stack) == 0 {
@@ -74,28 +117,20 @@ func (p *Profile) Record(e trace.Event) {
 		if len(stack) > 0 {
 			stack[len(stack)-1].child += incl
 		}
-		ph := p.phases[f.key]
-		if ph == nil {
-			ph = &phaseAgg{}
-			p.phases[f.key] = ph
-		}
+		ph := p.phase(f.node.key)
 		ph.count++
 		ph.incl += incl
 		ph.excl += excl
-		fa := p.folded[f.path]
-		if fa == nil {
-			fa = &foldAgg{}
-			p.folded[f.path] = fa
-		}
-		fa.count++
-		fa.excl += excl
+		f.node.count++
+		f.node.excl += excl
 	}
 }
 
 // join folds a profile that continued this one's stream at a run
-// boundary: phase and folded-stack aggregates add, and the child's open
-// spans (its last run's) become this profile's. Call EndRun first. c is
-// consumed; its aggregates may be adopted.
+// boundary: phase aggregates and call trees add, and the child's open
+// spans (its last run's) become this profile's, re-pointed at this
+// profile's tree. Call EndRun first. c is consumed; its aggregates and
+// subtrees may be adopted.
 func (p *Profile) join(c *Profile) {
 	for k, ca := range c.phases {
 		a := p.phases[k]
@@ -107,23 +142,40 @@ func (p *Profile) join(c *Profile) {
 		a.incl += ca.incl
 		a.excl += ca.excl
 	}
-	for k, ca := range c.folded {
-		a := p.folded[k]
-		if a == nil {
-			p.folded[k] = ca
+	p.root.merge(c.root)
+	p.open = c.open
+	for _, stack := range p.open {
+		n := p.root
+		for i := range stack {
+			n = n.children[stack[i].node.key]
+			stack[i].node = n
+		}
+	}
+}
+
+// merge adds the subtree under o into the one under n: matching nodes
+// add, the others are adopted.
+func (n *profNode) merge(o *profNode) {
+	for k, oc := range o.children {
+		nc := n.children[k]
+		if nc == nil {
+			if n.children == nil {
+				n.children = map[spanKey]*profNode{}
+			}
+			n.children[k] = oc
 			continue
 		}
-		a.count += ca.count
-		a.excl += ca.excl
+		nc.count += oc.count
+		nc.excl += oc.excl
+		nc.merge(oc)
 	}
-	p.open = c.open
 }
 
 // EndRun discards spans left open at a run boundary (they never closed
 // within their run, so they have no measurable duration).
 func (p *Profile) EndRun() {
-	for k := range p.open {
-		delete(p.open, k)
+	for k, stack := range p.open {
+		p.open[k] = stack[:0]
 	}
 }
 
@@ -150,31 +202,66 @@ type ProfileExport struct {
 	Folded []FoldedLine `json:"folded,omitempty"`
 }
 
-// Export builds the manifest form, or nil if no spans closed.
+// Export builds the manifest form, or nil if no spans closed. Phases
+// and stacks are keyed by their rendered names.
 func (p *Profile) Export() *ProfileExport {
-	if len(p.phases) == 0 {
+	phases := map[string]*phaseAgg{}
+	for k, a := range p.phases {
+		name := k.String()
+		if m := phases[name]; m != nil {
+			m.count += a.count
+			m.incl += a.incl
+			m.excl += a.excl
+		} else {
+			phases[name] = &phaseAgg{a.count, a.incl, a.excl}
+		}
+	}
+	if len(phases) == 0 {
 		return nil
 	}
+	folded := map[string]*foldAgg{}
+	p.root.fold("", folded)
 	e := &ProfileExport{}
-	names := make([]string, 0, len(p.phases))
-	for k := range p.phases {
+	names := make([]string, 0, len(phases))
+	for k := range phases {
 		names = append(names, k)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		a := p.phases[n]
+		a := phases[n]
 		e.Phases = append(e.Phases, PhaseStat{Name: n, Count: a.count, InclusiveNS: a.incl, ExclusiveNS: a.excl})
 	}
-	paths := make([]string, 0, len(p.folded))
-	for k := range p.folded {
+	paths := make([]string, 0, len(folded))
+	for k := range folded {
 		paths = append(paths, k)
 	}
 	sort.Strings(paths)
 	for _, pa := range paths {
-		a := p.folded[pa]
+		a := folded[pa]
 		e.Folded = append(e.Folded, FoldedLine{Stack: pa, Count: a.count, NS: a.excl})
 	}
 	return e
+}
+
+// fold adds the closed-span aggregates of every node under n to out,
+// keyed by the node's semicolon-joined stack; path is n's own stack.
+func (n *profNode) fold(path string, out map[string]*foldAgg) {
+	for k, c := range n.children {
+		cp := k.String()
+		if path != "" {
+			cp = path + ";" + cp
+		}
+		if c.count > 0 {
+			a := out[cp]
+			if a == nil {
+				a = &foldAgg{}
+				out[cp] = a
+			}
+			a.count += c.count
+			a.excl += c.excl
+		}
+		c.fold(cp, out)
+	}
 }
 
 // FoldedText renders the collapsed-stack flamegraph text: one line per

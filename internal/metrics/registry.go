@@ -24,60 +24,109 @@ import (
 // each job its own registry (inside a forked Collection) and merges
 // them; every update is commutative (counters add, gauges take the
 // maximum, histograms add bucket-wise), so the merge is exact.
+//
+// Every entry lives in a slot whose address is stable for the
+// registry's lifetime (a merge adds into existing slots and adopts the
+// others), so a hot caller can resolve a name once and update the slot
+// directly.
 type Registry struct {
-	counters map[string]int64
-	gauges   map[string]int64
+	counters map[string]*int64
+	gauges   map[string]*int64
 	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]int64{},
-		gauges:   map[string]int64{},
+		counters: map[string]*int64{},
+		gauges:   map[string]*int64{},
 		hists:    map[string]*Histogram{},
 	}
 }
 
+// counter returns the named counter's slot, creating it at zero.
+func (r *Registry) counter(name string) *int64 {
+	p := r.counters[name]
+	if p == nil {
+		p = new(int64)
+		r.counters[name] = p
+	}
+	return p
+}
+
+// gauge returns the named gauge's slot, creating it at v.
+func (r *Registry) gauge(name string, v int64) *int64 {
+	p := r.gauges[name]
+	if p == nil {
+		p = &v
+		r.gauges[name] = p
+	}
+	return p
+}
+
+// hist returns the named histogram, creating it empty; the caller
+// observes a sample into a new one before anything reads it.
+func (r *Registry) hist(name string) *Histogram {
+	h := r.hists[name]
+	if h == nil {
+		h = &Histogram{}
+		r.hists[name] = h
+	}
+	return h
+}
+
 // Add adds delta to the named counter.
-func (r *Registry) Add(name string, delta int64) { r.counters[name] += delta }
+func (r *Registry) Add(name string, delta int64) { *r.counter(name) += delta }
 
 // Counter reports the named counter's total (0 if never added).
-func (r *Registry) Counter(name string) int64 { return r.counters[name] }
+func (r *Registry) Counter(name string) int64 {
+	if p := r.counters[name]; p != nil {
+		return *p
+	}
+	return 0
+}
 
 // Set overwrites the named gauge.
-func (r *Registry) Set(name string, v int64) { r.gauges[name] = v }
+func (r *Registry) Set(name string, v int64) { *r.gauge(name, v) = v }
 
 // SetMax raises the named gauge to v if v exceeds its current value
 // (a peak-tracking gauge; absent gauges start at v).
-func (r *Registry) SetMax(name string, v int64) {
-	if cur, ok := r.gauges[name]; !ok || v > cur {
-		r.gauges[name] = v
+func (r *Registry) SetMax(name string, v int64) { setMax(r.gauge(name, v), v) }
+
+func setMax(p *int64, v int64) {
+	if v > *p {
+		*p = v
 	}
 }
 
 // Gauge reports the named gauge's value (0 if never set).
-func (r *Registry) Gauge(name string) int64 { return r.gauges[name] }
-
-// Observe records one sample into the named histogram.
-func (r *Registry) Observe(name string, v int64) {
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{Min: v}
-		r.hists[name] = h
+func (r *Registry) Gauge(name string) int64 {
+	if p := r.gauges[name]; p != nil {
+		return *p
 	}
-	h.observe(v)
+	return 0
 }
 
+// Observe records one sample into the named histogram.
+func (r *Registry) Observe(name string, v int64) { r.hist(name).observe(v) }
+
 // merge folds o into r: counters add, gauges keep the larger value,
-// histograms merge bucket-wise. o is consumed; its histograms may be
+// histograms merge bucket-wise. o is consumed; its slots may be
 // adopted by r.
 func (r *Registry) merge(o *Registry) {
-	for k, v := range o.counters {
-		r.counters[k] += v
+	for k, op := range o.counters {
+		if p := r.counters[k]; p != nil {
+			*p += *op
+		} else {
+			r.counters[k] = op
+		}
 	}
-	for k, v := range o.gauges {
-		r.SetMax(k, v)
+	for k, op := range o.gauges {
+		if p := r.gauges[k]; p != nil {
+			setMax(p, *op)
+		} else {
+			r.gauges[k] = op
+		}
 	}
 	for k, oh := range o.hists {
 		h := r.hists[k]
@@ -116,6 +165,9 @@ type Histogram struct {
 }
 
 func (h *Histogram) observe(v int64) {
+	if h.Count == 0 {
+		h.Min = v
+	}
 	h.Count++
 	h.Sum += v
 	if v < h.Min {
@@ -163,13 +215,13 @@ func (r *Registry) Counters() map[string]int64 { return copyMap(r.counters) }
 // Gauges returns a copy of every gauge.
 func (r *Registry) Gauges() map[string]int64 { return copyMap(r.gauges) }
 
-func copyMap(m map[string]int64) map[string]int64 {
+func copyMap(m map[string]*int64) map[string]int64 {
 	if len(m) == 0 {
 		return nil
 	}
 	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
+	for k, p := range m {
+		out[k] = *p
 	}
 	return out
 }

@@ -8,22 +8,38 @@ import (
 )
 
 // Collector aggregates the event stream into counters, span statistics
-// and log2 duration histograms, keyed by "cat/name". It is the sink the
+// and log2 duration histograms, per (cat, name) pair. It is the sink the
 // experiments and perf query mechanically: steal percentages, phase
 // breakdowns, message counts — derived from the trace rather than from
 // ad-hoc counting in the apps.
+//
+// The per-event path builds no strings: each distinct (cat, name) pair
+// is resolved once, through a struct-keyed map, to the record that
+// holds its instant counts and span statistics, and an open span keeps
+// a pointer to the statistics it will close into. Once every pair, proc
+// and counter has been seen, Emit does not allocate.
 type Collector struct {
-	counts   map[string]int64           // instant/lifecycle occurrences by cat/name
-	sums     map[string]int64           // sum of Arg over instants by cat/name
-	instProc map[string]map[int32]int64 // instant occurrences by cat/name per proc
-	counters map[string]int64           // KCounter totals by bare counter name
-	spans    map[string]*SpanStat
-	open     map[int32][]openSpan
-	events   int64
+	pairs     map[pairKey]*pairStat
+	life      [KCounter + 1]int64 // lifecycle events by Kind
+	unmatched int64               // span ends with no open span on their proc
+	counters  map[string]int64    // KCounter totals by bare counter name
+	open      map[int32][]openSpan
+	events    int64
+}
+
+// pairKey names one (cat, name) pair.
+type pairKey struct{ cat, name string }
+
+// pairStat aggregates the instants and closed spans of one pair.
+type pairStat struct {
+	count  int64           // instant occurrences
+	sum    int64           // summed Arg over instants
+	byProc map[int32]int64 // instant occurrences per proc
+	span   SpanStat
 }
 
 type openSpan struct {
-	key   string
+	stat  *SpanStat
 	start int64
 }
 
@@ -55,54 +71,57 @@ func (s *SpanStat) MaxByProc() int64 {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		counts:   map[string]int64{},
-		sums:     map[string]int64{},
-		instProc: map[string]map[int32]int64{},
+		pairs:    map[pairKey]*pairStat{},
 		counters: map[string]int64{},
-		spans:    map[string]*SpanStat{},
 		open:     map[int32][]openSpan{},
 	}
 }
 
-func key(cat, name string) string { return cat + "/" + name }
+// pair resolves cat/name to its record, creating it on first sight.
+func (c *Collector) pair(cat, name string) *pairStat {
+	k := pairKey{cat, name}
+	p := c.pairs[k]
+	if p == nil {
+		p = &pairStat{}
+		c.pairs[k] = p
+	}
+	return p
+}
 
 // Emit aggregates one event.
 func (c *Collector) Emit(e Event) {
 	c.events++
 	switch e.Kind {
 	case KSpanBegin:
-		c.open[e.Proc] = append(c.open[e.Proc], openSpan{key(e.Cat, e.Name), e.Time})
+		c.open[e.Proc] = append(c.open[e.Proc], openSpan{&c.pair(e.Cat, e.Name).span, e.Time})
 	case KSpanEnd:
 		stack := c.open[e.Proc]
 		if len(stack) == 0 {
-			c.counts["trace/unmatched-end"]++
+			c.unmatched++
 			return
 		}
 		sp := stack[len(stack)-1]
 		c.open[e.Proc] = stack[:len(stack)-1]
-		c.record(sp.key, e.Proc, e.Time-sp.start)
+		sp.stat.record(e.Proc, e.Time-sp.start)
 	case KInstant:
-		k := key(e.Cat, e.Name)
-		c.counts[k]++
-		c.sums[k] += e.Arg
-		pp := c.instProc[k]
-		if pp == nil {
-			pp = map[int32]int64{}
-			c.instProc[k] = pp
+		p := c.pair(e.Cat, e.Name)
+		p.count++
+		p.sum += e.Arg
+		if p.byProc == nil {
+			p.byProc = map[int32]int64{}
 		}
-		pp[e.Proc]++
+		p.byProc[e.Proc]++
 	case KCounter:
 		c.counters[e.Name] += e.Arg
 	case KProcSpawn, KProcPark, KProcUnpark, KProcExit:
-		c.counts[key("sim", e.Kind.String())]++
+		c.life[e.Kind]++
 	}
 }
 
-func (c *Collector) record(k string, proc int32, d int64) {
-	s := c.spans[k]
-	if s == nil {
-		s = &SpanStat{Min: d, ByProc: map[int32]int64{}}
-		c.spans[k] = s
+func (s *SpanStat) record(proc int32, d int64) {
+	if s.Count == 0 {
+		s.Min = d
+		s.ByProc = map[int32]int64{}
 	}
 	s.Count++
 	s.Total += d
@@ -119,11 +138,36 @@ func (c *Collector) record(k string, proc int32, d int64) {
 // Events reports the number of events aggregated.
 func (c *Collector) Events() int64 { return c.events }
 
-// Count reports how many instants of cat/name were seen.
-func (c *Collector) Count(cat, name string) int64 { return c.counts[key(cat, name)] }
+// Count reports how many instants of cat/name were seen. Lifecycle
+// events count as "sim" instants named after their Kind ("sim/park"),
+// and span ends with no open span as "trace/unmatched-end".
+func (c *Collector) Count(cat, name string) int64 {
+	var n int64
+	if p := c.pairs[pairKey{cat, name}]; p != nil {
+		n = p.count
+	}
+	switch cat {
+	case "sim":
+		for _, k := range [...]Kind{KProcSpawn, KProcPark, KProcUnpark, KProcExit} {
+			if name == k.String() {
+				n += c.life[k]
+			}
+		}
+	case "trace":
+		if name == "unmatched-end" {
+			n += c.unmatched
+		}
+	}
+	return n
+}
 
 // Sum reports the summed Arg over instants of cat/name.
-func (c *Collector) Sum(cat, name string) int64 { return c.sums[key(cat, name)] }
+func (c *Collector) Sum(cat, name string) int64 {
+	if p := c.pairs[pairKey{cat, name}]; p != nil {
+		return p.sum
+	}
+	return 0
+}
 
 // CountByProc reports, per emitting process, how many instants of
 // cat/name were seen. The returned slice is ordered by ascending process
@@ -131,18 +175,18 @@ func (c *Collector) Sum(cat, name string) int64 { return c.sums[key(cat, name)] 
 // themselves; feed the counts to perf.Quantile for per-thread
 // distribution stats (the Table 3.2 percentile columns).
 func (c *Collector) CountByProc(cat, name string) []int64 {
-	pp := c.instProc[key(cat, name)]
-	if len(pp) == 0 {
+	p := c.pairs[pairKey{cat, name}]
+	if p == nil || len(p.byProc) == 0 {
 		return nil
 	}
-	procs := make([]int, 0, len(pp))
-	for p := range pp {
-		procs = append(procs, int(p))
+	procs := make([]int, 0, len(p.byProc))
+	for pr := range p.byProc {
+		procs = append(procs, int(pr))
 	}
 	sort.Ints(procs)
 	out := make([]int64, len(procs))
-	for i, p := range procs {
-		out[i] = pp[int32(p)]
+	for i, pr := range procs {
+		out[i] = p.byProc[int32(pr)]
 	}
 	return out
 }
@@ -162,28 +206,46 @@ func (c *Collector) CounterTotals() map[string]int64 {
 // Span reports the aggregated statistics of cat/name spans; the zero
 // SpanStat if none closed.
 func (c *Collector) Span(cat, name string) SpanStat {
-	if s := c.spans[key(cat, name)]; s != nil {
-		return *s
+	if p := c.pairs[pairKey{cat, name}]; p != nil {
+		return p.span
 	}
 	return SpanStat{}
 }
 
+// namedSpan is one pair's closed-span statistics under its cat/name key.
+type namedSpan struct {
+	key  string
+	stat *SpanStat
+}
+
+// closedSpans lists the pairs with at least one closed span, sorted by
+// cat/name key.
+func (c *Collector) closedSpans() []namedSpan {
+	var out []namedSpan
+	for k, p := range c.pairs {
+		if p.span.Count > 0 {
+			out = append(out, namedSpan{k.cat + "/" + k.name, &p.span})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
 // SpanKeys lists the cat/name keys with at least one closed span, sorted.
 func (c *Collector) SpanKeys() []string {
-	keys := make([]string, 0, len(c.spans))
-	for k := range c.spans {
-		keys = append(keys, k)
+	spans := c.closedSpans()
+	keys := make([]string, len(spans))
+	for i, s := range spans {
+		keys[i] = s.key
 	}
-	sort.Strings(keys)
 	return keys
 }
 
 // String renders a compact summary: span totals then counters, sorted.
 func (c *Collector) String() string {
 	var b strings.Builder
-	for _, k := range c.SpanKeys() {
-		s := c.spans[k]
-		fmt.Fprintf(&b, "%s: n=%d total=%dns max=%dns\n", k, s.Count, s.Total, s.Max)
+	for _, s := range c.closedSpans() {
+		fmt.Fprintf(&b, "%s: n=%d total=%dns max=%dns\n", s.key, s.stat.Count, s.stat.Total, s.stat.Max)
 	}
 	names := make([]string, 0, len(c.counters))
 	for k := range c.counters {

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"os"
+	"slices"
 )
 
 // Session ties the process-default tracer to a Chrome trace file and a
@@ -10,13 +11,26 @@ import (
 // the cmd/upc-* binaries). Every engine created between StartSession and
 // Close feeds both sinks; Close restores the previous default, writes
 // the JSON file, and leaves the digest readable.
+//
+// Every event is hashed once: when a sink that carries its own digest
+// is attached (a DigestCarrier, such as the -metrics collection), the
+// session drops its digest from the chain and reports the carrier's.
 type Session struct {
-	prev Tracer
-	cw   *ChromeWriter
-	dg   *Digest
-	path string
-	f    *os.File
-	err  error
+	prev  Tracer
+	sinks []Tracer // the session's chain, teed after prev
+	cw    *ChromeWriter
+	dg    *Digest
+	ownDg bool // dg is the session's own sink, not a carrier's
+	path  string
+	f     *os.File
+	err   error
+}
+
+// DigestCarrier is a sink that hashes every event it consumes into a
+// Digest of its own. StreamDigest returns that digest; it must be empty
+// when the sink is attached to a session.
+type DigestCarrier interface {
+	StreamDigest() *Digest
 }
 
 // StartSession installs a ChromeWriter+Digest pair as the process
@@ -27,18 +41,21 @@ type Session struct {
 // created eagerly so an unwritable path fails before the run, not after
 // it.
 func StartSession(path string) *Session {
-	s := &Session{prev: Default(), dg: NewDigest(), path: path}
-	sink := Tracer(s.dg)
+	s := &Session{prev: Default(), dg: NewDigest(), ownDg: true, path: path}
 	if path != "" {
 		s.cw = NewChromeWriter()
-		sink = Multi(s.cw, s.dg)
+		s.sinks = append(s.sinks, s.cw)
 		if s.f, s.err = os.Create(path); s.err != nil {
 			s.err = fmt.Errorf("trace: %w", s.err)
 		}
 	}
-	SetDefault(Tee(s.prev, sink))
+	s.sinks = append(s.sinks, s.dg)
+	s.install()
 	return s
 }
+
+// install makes the session's chain the process default.
+func (s *Session) install() { SetDefault(Tee(s.prev, Multi(s.sinks...))) }
 
 // Err reports whether the session's trace file could be created; call
 // after StartSession to fail fast on a bad path.
@@ -47,11 +64,22 @@ func (s *Session) Err() error { return s.err }
 // Attach adds another sink to the session's process-default chain (the
 // -metrics collectors ride the same stream as the digest). Call between
 // StartSession and the first simulation; Close removes it along with the
-// session's own sinks.
+// session's own sinks. The first DigestCarrier attached takes over the
+// session's digest: the session's own Digest leaves the chain, and
+// Digest and Events report the carrier's.
 func (s *Session) Attach(t Tracer) {
-	if t != nil {
-		SetDefault(Tee(Default(), t))
+	if t == nil {
+		return
 	}
+	if dc, ok := t.(DigestCarrier); ok && s.ownDg {
+		if s.dg.Events() != 0 {
+			panic("trace: Session.Attach after the session observed events")
+		}
+		s.sinks = slices.DeleteFunc(s.sinks, func(x Tracer) bool { return x == Tracer(s.dg) })
+		s.dg, s.ownDg = dc.StreamDigest(), false
+	}
+	s.sinks = append(s.sinks, t)
+	s.install()
 }
 
 // Close restores the previous default tracer and writes the trace file.
