@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -76,6 +77,32 @@ func TestTable32Golden(t *testing.T) {
 	fmt.Fprintf(&b, "TraceDigest: %016x (%d events)\n", sess.Digest(), sess.Events())
 	fmt.Fprintf(&b, "Manifest SHA-256: %x\n", sha256.Sum256(mb.Bytes()))
 	checkGolden(t, "table32.golden", b.String())
+}
+
+// TestTable32FaultGoldens pins Table 3.2 in quick mode under each
+// example fault schedule, as `upc-uts -table=3.2 -quick -faults=…
+// -digest` prints it: the rendered text and the TraceDigest. The runs
+// exercise every recovery path of the UPC runtime (retry ladder, epoch
+// fence, barrier release over the survivors, checkpoints and rejoin),
+// so a refactor of recovery that changes any decision shows up here.
+func TestTable32FaultGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full quick-mode Table 3.2 sweeps under fault schedules")
+	}
+	prev := fault.Default()
+	defer fault.SetDefault(prev)
+	for _, name := range []string{"lossy", "churn", "crash-node1"} {
+		sched, err := fault.Load(filepath.Join("..", "..", "examples", "faults", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault.SetDefault(sched)
+		out, digest, events := renderAll(t, sweep.Workers(), func(w *strings.Builder) error {
+			return Table32(w, true)
+		})
+		checkGolden(t, "table32-"+name+".golden",
+			out+fmt.Sprintf("TraceDigest: %016x (%d events)\n", digest, events))
+	}
 }
 
 // checkGolden compares got with testdata/name, or rewrites the file

@@ -2,10 +2,12 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // chaosCfg is cfg plus a fault schedule: 4 ranks on 2 nodes so rank r
@@ -16,6 +18,21 @@ func chaosCfg(sched *fault.Schedule) Config {
 	return c
 }
 
+// pinDigest attaches a plain trace.Digest to c (it observes no
+// completion edges) and returns a check that the run hashed to want.
+// The pins hold every recovery decision of the scenario fixed.
+func pinDigest(t *testing.T, c *Config, want string) func() {
+	t.Helper()
+	dg := trace.NewDigest()
+	c.Tracer = dg
+	return func() {
+		t.Helper()
+		if got := fmt.Sprintf("%s (%d events)", dg, dg.Events()); got != want {
+			t.Errorf("TraceDigest = %s, want %s", got, want)
+		}
+	}
+}
+
 // TestEagerRecvRecoversFromDropWindow: every cross-node message inside
 // the window is dropped; the receiver's NACK pull must recover the
 // payload once the window closes.
@@ -24,7 +41,9 @@ func TestEagerRecvRecoversFromDropWindow(t *testing.T) {
 		{Op: fault.OpDrop, At: 0, Until: 0.002, Prob: 1, Src: -1, Dst: -1},
 	}}
 	var gotAt sim.Time
-	_, err := Run(chaosCfg(sched), func(c *Comm) {
+	cf := chaosCfg(sched)
+	pinned := pinDigest(t, &cf, "716114eb963643e2 (64 events)")
+	_, err := Run(cf, func(c *Comm) {
 		if c.Rank == 0 {
 			c.Send(2, []byte{7}) // eager, cross-node: returns at WaitLocal
 		}
@@ -43,6 +62,7 @@ func TestEagerRecvRecoversFromDropWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinned()
 	if gotAt < sim.Time(2*sim.Millisecond) {
 		t.Errorf("recv completed at %v, inside the total-drop window", gotAt)
 	}
@@ -55,7 +75,9 @@ func TestRendezvousSendRetransmits(t *testing.T) {
 		{Op: fault.OpDrop, At: 0, Until: 0.002, Prob: 1, Src: -1, Dst: -1},
 	}}
 	var sentAt sim.Time
-	_, err := Run(chaosCfg(sched), func(c *Comm) {
+	cf := chaosCfg(sched)
+	pinned := pinDigest(t, &cf, "c0db703d5347160b (109 events)")
+	_, err := Run(cf, func(c *Comm) {
 		if c.Rank == 0 {
 			if serr := c.SendModelErr(2, 64*1024); serr != nil {
 				t.Errorf("SendModelErr under drop window: %v", serr)
@@ -71,6 +93,7 @@ func TestRendezvousSendRetransmits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinned()
 	if sentAt < sim.Time(2*sim.Millisecond) {
 		t.Errorf("rendezvous send completed at %v, inside the total-drop window", sentAt)
 	}
@@ -83,7 +106,9 @@ func TestCrashSurfacesTypedErrors(t *testing.T) {
 	sched := &fault.Schedule{Actions: []fault.Action{
 		{Op: fault.OpCrash, At: 0.001, Node: 1, Src: -1, Dst: -1},
 	}}
-	_, err := Run(chaosCfg(sched), func(c *Comm) {
+	cf := chaosCfg(sched)
+	pinned := pinDigest(t, &cf, "a45ff810ca9955ac (30 events)")
+	_, err := Run(cf, func(c *Comm) {
 		c.P.Advance(2 * sim.Millisecond)
 		if c.Failed() {
 			return // ranks on the dead node stop participating
@@ -109,6 +134,7 @@ func TestCrashSurfacesTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinned()
 }
 
 // TestChaosDeterministicAndCorrect: a probabilistic chaos schedule must
@@ -124,10 +150,12 @@ func TestChaosDeterministicAndCorrect(t *testing.T) {
 			{Op: fault.OpDuplicate, At: 0, Until: 0.01, Prob: 0.25, Src: -1, Dst: -1},
 		}}
 	}
-	run := func(faults bool) (sim.Time, []byte) {
+	run := func(faults bool, pin string) (sim.Time, []byte) {
 		got := make([]byte, 8)
 		var end sim.Time
-		_, err := Run(chaosCfg(mk(faults)), func(c *Comm) {
+		cf := chaosCfg(mk(faults))
+		pinned := pinDigest(t, &cf, pin)
+		_, err := Run(cf, func(c *Comm) {
 			peer := c.Rank ^ 2 // cross-node pairing
 			for i := 0; i < 2; i++ {
 				c.Send(peer, []byte{byte(10*c.Rank + i)})
@@ -144,10 +172,11 @@ func TestChaosDeterministicAndCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pinned()
 		return end, got
 	}
-	endA, gotA := run(true)
-	endB, gotB := run(true)
+	endA, gotA := run(true, "048a3083574cc330 (243 events)")
+	endB, gotB := run(true, "048a3083574cc330 (243 events)")
 	if endA != endB {
 		t.Errorf("same seed+schedule diverged: %v vs %v", endA, endB)
 	}
@@ -156,7 +185,7 @@ func TestChaosDeterministicAndCorrect(t *testing.T) {
 			t.Errorf("payload %d diverged across identical runs: %d vs %d", i, gotA[i], gotB[i])
 		}
 	}
-	_, clean := run(false)
+	_, clean := run(false, "0201da430bc3e040 (121 events)")
 	for i := range clean {
 		if gotA[i] != clean[i] {
 			t.Errorf("payload %d under chaos = %d, fault-free = %d", i, gotA[i], clean[i])
