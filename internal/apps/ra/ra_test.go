@@ -3,6 +3,7 @@ package ra
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -134,5 +135,24 @@ func TestConfigValidation(t *testing.T) {
 	bad.ConduitName = "yodeling"
 	if _, err := Run(bad); err == nil {
 		t.Error("unknown conduit must error")
+	}
+}
+
+// TestVariantsVerifyUnderLossyFaults runs every variant under the lossy
+// example schedule: drops, duplicates and delays hit the active
+// messages, which WaitSync recovers and applies at most once, so the
+// XOR updates still match the sequential reference.
+func TestVariantsVerifyUnderLossyFaults(t *testing.T) {
+	sched, err := fault.Load("../../../examples/faults/lossy.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := fault.Default()
+	fault.SetDefault(sched)
+	defer fault.SetDefault(prev)
+	for _, v := range Variants() {
+		if _, err := Run(raCfg(v)); err != nil {
+			t.Errorf("%v under lossy faults: %v", v, err)
+		}
 	}
 }

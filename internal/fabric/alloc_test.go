@@ -94,8 +94,8 @@ func TestShardPutNoAlloc(t *testing.T) {
 type idleFaults struct{}
 
 func (idleFaults) NodeDown(int) bool { return false }
-func (idleFaults) MessageVerdict(int, int, int64) (Verdict, sim.Duration) {
-	return VerdictDeliver, 0
+func (idleFaults) MessageVerdict(int, int, int64) (sim.MessageVerdict, sim.Duration) {
+	return sim.MsgDeliver, 0
 }
 
 // TestFaultArmedPutNoAlloc pins the armed fault hooks on the one-sided

@@ -339,7 +339,7 @@ func (ep *Endpoint) PutAsync(p *sim.Proc, dst *Endpoint, size int64, apply func(
 	// Fault injection decides the message's fate at injection time, in
 	// deterministic proc order. The payload still drains from the source
 	// either way (the NIC did the work), so Local always fires.
-	o.verdict = VerdictDeliver
+	o.verdict = sim.MsgDeliver
 	extra := sim.Duration(0)
 	if ep.c.faults != nil {
 		o.verdict, extra = ep.c.messageVerdict(ep.node, dst.node, size)
@@ -350,7 +350,7 @@ func (ep *Endpoint) PutAsync(p *sim.Proc, dst *Endpoint, size int64, apply func(
 	} else {
 		o.lat = cond.Latency
 	}
-	if o.verdict == VerdictDelay {
+	if o.verdict == sim.MsgDelay {
 		o.lat += extra
 	}
 	// o is the flow's completion action; it schedules the delivery legs
@@ -399,7 +399,7 @@ func (ep *Endpoint) GetAsync(p *sim.Proc, src *Endpoint, size int64, apply func(
 	// leg (no payload ever starts), a delay or duplicate applies to the
 	// returning payload. Drawn at injection time, in deterministic proc
 	// order.
-	o.verdict = VerdictDeliver
+	o.verdict = sim.MsgDeliver
 	extra := sim.Duration(0)
 	if ep.c.faults != nil {
 		o.verdict, extra = ep.c.messageVerdict(ep.node, src.node, size)
@@ -412,7 +412,7 @@ func (ep *Endpoint) GetAsync(p *sim.Proc, src *Endpoint, size int64, apply func(
 		reqLat = cond.LoopbackLatency
 		o.lat = cond.LoopbackLatency
 	}
-	if o.verdict == VerdictDelay {
+	if o.verdict == sim.MsgDelay {
 		o.lat += extra
 	}
 	o.stage = gReq

@@ -5,25 +5,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Verdict is a fault model's decision about one injected message.
-type Verdict uint8
-
-const (
-	// VerdictDeliver lets the message take its normal path.
-	VerdictDeliver Verdict = iota
-	// VerdictDrop loses the message after injection: the payload drains
-	// from the source (the NIC did the work) but is never applied and the
-	// operation's Remote event never fires. Detection is the caller's
-	// job, via timeouts.
-	VerdictDrop
-	// VerdictDuplicate applies the payload twice at the target. Apply
-	// closures are idempotent copies, so duplicates cost time, not
-	// correctness.
-	VerdictDuplicate
-	// VerdictDelay adds extra latency before delivery.
-	VerdictDelay
-)
-
 // FaultModel is the cluster's view of an installed fault injector (see
 // internal/fault for the scheduling side). Implementations must draw any
 // randomness from the owning engine's seeded source so that decisions
@@ -34,8 +15,8 @@ type FaultModel interface {
 	NodeDown(node int) bool
 	// MessageVerdict decides the fate of one message from srcNode to
 	// dstNode. The returned duration is the extra latency of a
-	// VerdictDelay and ignored otherwise.
-	MessageVerdict(srcNode, dstNode int, size int64) (Verdict, sim.Duration)
+	// sim.MsgDelay and ignored otherwise.
+	MessageVerdict(srcNode, dstNode int, size int64) (sim.MessageVerdict, sim.Duration)
 }
 
 // SetFaultModel installs a fault model on the cluster. A nil model (the
@@ -86,9 +67,9 @@ func (c *Cluster) traceFault(name string, srcNode, dstNode int, size int64) {
 // messageVerdict centralizes the per-message injection decision: down
 // nodes drop without consuming a random draw, everything else asks the
 // model. Call only with a non-nil fault model.
-func (c *Cluster) messageVerdict(srcNode, dstNode int, size int64) (Verdict, sim.Duration) {
+func (c *Cluster) messageVerdict(srcNode, dstNode int, size int64) (sim.MessageVerdict, sim.Duration) {
 	if c.faults.NodeDown(srcNode) || c.faults.NodeDown(dstNode) {
-		return VerdictDrop, 0
+		return sim.MsgDrop, 0
 	}
 	return c.faults.MessageVerdict(srcNode, dstNode, size)
 }

@@ -39,7 +39,7 @@ type putOp struct {
 	dst     *Endpoint
 	size    int64
 	lat     sim.Duration // delivery latency, including any fault delay
-	verdict Verdict
+	verdict sim.MessageVerdict
 	apply   func()
 	op      NetOp
 	refs    int32 // in-flight machinery: flow completion + delivery legs
@@ -103,14 +103,14 @@ func (o *putOp) Run() {
 	c := o.c
 	deliveries := 1
 	switch o.verdict {
-	case VerdictDrop:
+	case sim.MsgDrop:
 		c.traceFault("drop", o.ep.node, o.dst.node, o.size)
 		o.deref()
 		return
-	case VerdictDuplicate:
+	case sim.MsgDuplicate:
 		deliveries = 2
 		c.traceFault("dup", o.ep.node, o.dst.node, o.size)
-	case VerdictDelay:
+	case sim.MsgDelay:
 		c.traceFault("delay", o.ep.node, o.dst.node, o.size)
 	}
 	o.refs += int32(deliveries)
@@ -165,7 +165,7 @@ type getOp struct {
 	src      *Endpoint
 	size     int64
 	lat      sim.Duration // payload return latency, including fault delay
-	verdict  Verdict
+	verdict  sim.MessageVerdict
 	sameNode bool
 	apply    func()
 	stage    uint8
@@ -225,7 +225,7 @@ func (o *getOp) Run() {
 	cond := &c.Conduit
 	switch o.stage {
 	case gReq:
-		if o.verdict == VerdictDrop || c.NodeDown(o.src.node) {
+		if o.verdict == sim.MsgDrop || c.NodeDown(o.src.node) {
 			// Request lost, or the source crashed before it arrived.
 			c.traceFault("drop", o.ep.node, o.src.node, o.size)
 			o.deref()
@@ -248,10 +248,10 @@ func (o *getOp) Run() {
 	case gFlow:
 		deliveries := 1
 		switch o.verdict {
-		case VerdictDuplicate:
+		case sim.MsgDuplicate:
 			deliveries = 2
 			c.traceFault("dup", o.src.node, o.ep.node, o.size)
-		case VerdictDelay:
+		case sim.MsgDelay:
 			c.traceFault("delay", o.src.node, o.ep.node, o.size)
 		}
 		o.refs += int32(deliveries)

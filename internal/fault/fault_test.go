@@ -168,7 +168,7 @@ func TestFlapTogglesAndEndsUp(t *testing.T) {
 
 // verdictTape records the injector's decisions for a fixed message
 // sequence, exercising NodeDown-induced drops and probability draws.
-func verdictTape(t *testing.T, seed int64, prob float64) []fabric.Verdict {
+func verdictTape(t *testing.T, seed int64, prob float64) []sim.MessageVerdict {
 	t.Helper()
 	e, c := testCluster(seed)
 	_, err := Install(c, &Schedule{Actions: []Action{
@@ -176,7 +176,7 @@ func verdictTape(t *testing.T, seed int64, prob float64) []fabric.Verdict {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tape []fabric.Verdict
+	var tape []sim.MessageVerdict
 	e.Go("probe", func(p *sim.Proc) {
 		fm := c.FaultModel()
 		for i := 0; i < 200; i++ {
@@ -199,7 +199,7 @@ func TestDropDecisionsDeterministicUnderSeed(t *testing.T) {
 	}
 	drops := 0
 	for _, v := range a {
-		if v == fabric.VerdictDrop {
+		if v == sim.MsgDrop {
 			drops++
 		}
 	}
@@ -272,9 +272,6 @@ func TestCommErrorUnwraps(t *testing.T) {
 
 func TestZeroPolicyDefaults(t *testing.T) {
 	var rp RetryPolicy
-	if rp.enabled() {
-		t.Error("zero policy must read as disabled")
-	}
 	if rp.OrDefault() != DefaultRetryPolicy() {
 		t.Error("OrDefault of a zero policy must be the default policy")
 	}

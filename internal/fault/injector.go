@@ -163,6 +163,66 @@ func (inj *Injector) Incarnation(node int) int64 {
 	return inj.inc[node]
 }
 
+// Stamp is the membership epoch of one point-to-point operation: its
+// endpoint ids (thread or rank), their nodes, and the incarnations of
+// those nodes at issue. The issuer is always Src, whichever way the
+// payload flows.
+type Stamp struct {
+	Src, Dst         int
+	SrcNode, DstNode int
+	srcInc, dstInc   int64
+}
+
+// Stamp records the current incarnations of an operation's endpoint
+// nodes.
+func (inj *Injector) Stamp(src, dst, srcNode, dstNode int) Stamp {
+	return Stamp{Src: src, Dst: dst, SrcNode: srcNode, DstNode: dstNode,
+		srcInc: inj.Incarnation(srcNode), dstInc: inj.Incarnation(dstNode)}
+}
+
+// Stale reports whether either endpoint node of s was reincarnated
+// since the stamp was taken.
+func (inj *Injector) Stale(s Stamp) bool {
+	return inj.Incarnation(s.SrcNode) != s.srcInc || inj.Incarnation(s.DstNode) != s.dstInc
+}
+
+// Check reports why an operation stamped s can no longer complete, or
+// nil. Staleness wins over liveness: an endpoint that crashed and
+// revived is up again, but retrying the op into its new life would
+// bypass the checkpoint restore.
+func (inj *Injector) Check(s Stamp) error {
+	if inj.Stale(s) {
+		return ErrStaleEpoch
+	}
+	if inj.NodeDown(s.SrcNode) || inj.NodeDown(s.DstNode) {
+		return ErrNodeDown
+	}
+	return nil
+}
+
+// Fence wraps a network payload apply with the delivery-time epoch
+// fence. If either endpoint node was reincarnated since issue, or the
+// destination node is down at delivery, the payload is dropped with a
+// comm-matrix "stale-drop" instant instead of corrupting the new life's
+// restored state. A nil injector or a nil apply passes through
+// untouched, which keeps fault-free transfers allocation-free.
+func (inj *Injector) Fence(src, dst, srcNode, dstNode int, bytes int64, apply func()) func() {
+	if inj == nil || apply == nil {
+		return apply
+	}
+	s := inj.Stamp(src, dst, srcNode, dstNode)
+	return func() {
+		if inj.Stale(s) || inj.NodeDown(dstNode) {
+			if inj.eng.Tracing() {
+				inj.eng.TraceInstant(trace.CatComm, "stale-drop", trace.ClassFault,
+					bytes, trace.PackEndpoints(src, dst, srcNode, dstNode))
+			}
+			return
+		}
+		apply()
+	}
+}
+
 // OnTransition registers an observer of crash/revive transitions, run in
 // engine context immediately after the injector's own state flips.
 // Runtimes use it to wake threads parked for a revival. Register before
@@ -205,7 +265,7 @@ func (inj *Injector) NodeDown(node int) bool {
 // probability draw succeeds decides the message. Each matching active
 // rule consumes exactly one PRNG draw, keeping the stream a pure function
 // of the schedule and the deterministic message order.
-func (inj *Injector) MessageVerdict(srcNode, dstNode int, size int64) (fabric.Verdict, sim.Duration) {
+func (inj *Injector) MessageVerdict(srcNode, dstNode int, size int64) (sim.MessageVerdict, sim.Duration) {
 	for i := range inj.rules {
 		r := &inj.rules[i]
 		if !r.active {
@@ -222,12 +282,12 @@ func (inj *Injector) MessageVerdict(srcNode, dstNode int, size int64) (fabric.Ve
 		}
 		switch r.act.Op {
 		case OpDrop:
-			return fabric.VerdictDrop, 0
+			return sim.MsgDrop, 0
 		case OpDuplicate:
-			return fabric.VerdictDuplicate, 0
+			return sim.MsgDuplicate, 0
 		case OpDelay:
-			return fabric.VerdictDelay, sim.FromSeconds(r.act.Extra)
+			return sim.MsgDelay, sim.FromSeconds(r.act.Extra)
 		}
 	}
-	return fabric.VerdictDeliver, 0
+	return sim.MsgDeliver, 0
 }

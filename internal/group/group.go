@@ -28,25 +28,12 @@ type Group struct {
 }
 
 // state is the group-shared synchronization record, interned on the
-// runtime so that every member resolves to the same object.
+// runtime so that every member resolves to the same object. Both
+// rendezvous are indexed by member rank.
 type state struct {
-	n        int
-	cost     sim.Duration
-	notified int
-	inGen    []bool // which member ranks notified this generation (faults only)
-	ev       *sim.Event
-	collSeq  map[int]int // per-member collective sequence counters
-	colls    []*collSlot
-}
-
-type collSlot struct {
-	arrived int
-	present []bool // which member ranks contributed (faults only)
-	combine func([]any) any
-	fired   bool
-	vals    []any
-	result  any
-	ev      *sim.Event
+	cost  sim.Duration
+	bar   *sim.Rendezvous
+	colls *sim.Collective
 }
 
 // New builds the group containing exactly the given UPC threads; members
@@ -83,12 +70,17 @@ func New(t *upc.Thread, members []int) (*Group, error) {
 		for _, m := range ms {
 			nodes[rt.PlaceOf(m).Node] = true
 		}
+		// Under a fault schedule a rendezvous releases over the members
+		// that have not retired and whose node is up.
+		var live func(rank int) bool
+		if rt.FaultsOn() {
+			live = func(rank int) bool { return t.Alive(ms[rank]) }
+		}
+		cost := rt.Cluster.BarrierCost(len(nodes))
 		return &state{
-			n:       len(ms),
-			cost:    rt.Cluster.BarrierCost(len(nodes)),
-			inGen:   make([]bool, len(ms)),
-			ev:      &sim.Event{},
-			collSeq: make(map[int]int),
+			cost:  cost,
+			bar:   sim.NewRendezvous(rt.Eng, len(ms), cost, live, nil),
+			colls: sim.NewCollective(rt.Eng, len(ms), live, nil),
 		}
 	}).(*state)
 	return &Group{T: t, Members: ms, Rank: rank, st: st}, nil
@@ -137,23 +129,9 @@ func (g *Group) OnOneNode() bool {
 // installed fault schedule it panics with the typed error BarrierErr would
 // return instead of hanging on a crashed member.
 func (g *Group) Barrier() {
-	if g.T.Runtime().FaultsOn() {
-		if err := g.BarrierErr(); err != nil {
-			panic(err)
-		}
-		return
+	if err := g.BarrierErr(); err != nil {
+		panic(err)
 	}
-	end := g.T.P.TraceSpanArg("group", "barrier", "", int64(g.st.n))
-	st := g.st
-	ev := st.ev
-	st.notified++
-	if st.notified == st.n {
-		st.notified = 0
-		st.ev = &sim.Event{}
-		g.T.Runtime().Eng.After(st.cost, ev.Fire)
-	}
-	ev.Wait(g.T.P)
-	end()
 }
 
 // BarrierErr is Barrier with failure detection: the generation releases
@@ -162,61 +140,38 @@ func (g *Group) Barrier() {
 // policy's deadline ladder instead of hanging.
 func (g *Group) BarrierErr() error {
 	t := g.T
-	rt := t.Runtime()
-	if !rt.FaultsOn() {
-		g.Barrier()
-		return nil
-	}
 	if t.Failed() {
 		return &fault.CommError{Op: "group-barrier", Src: t.ID, Dst: t.ID, Err: fault.ErrNodeDown}
 	}
-	end := t.P.TraceSpanArg("group", "barrier", "", int64(g.st.n))
+	end := t.P.TraceSpanArg("group", "barrier", "", int64(len(g.Members)))
 	defer end()
-	st := g.st
-	ev := st.ev
-	st.notified++
-	st.inGen[g.Rank] = true
-	g.maybeRelease()
-	rp := rt.RetryPolicy()
-	attempts := 0
-	for try := 0; try <= rp.MaxRetries; try++ {
-		attempts++
-		if ev.WaitTimeout(t.P, rp.AttemptTimeout(try, st.cost)) {
-			return nil
-		}
-		t.FaultEvent("timeout", t.ID, 0)
-		if t.Failed() {
-			return &fault.CommError{Op: "group-barrier", Src: t.ID, Dst: t.ID,
-				Attempts: attempts, Err: fault.ErrNodeDown}
-		}
-		// A member may have died since the last check, which is exactly
-		// what completes the generation on the survivors.
-		g.maybeRelease()
-	}
-	return &fault.CommError{Op: "group-barrier", Src: t.ID, Dst: t.ID,
-		Attempts: attempts, Err: fault.ErrTimeout}
+	return g.await("group-barrier", g.st.bar.Arrive(g.Rank), g.st.bar.Recheck)
 }
 
-// maybeRelease fires the barrier generation once every live member has
-// notified. Called on each arrival and again from the deadline ladder,
-// which picks up members that died mid-generation.
-func (g *Group) maybeRelease() {
-	st := g.st
-	if st.notified == 0 {
-		return
+// await waits for a group rendezvous' release event: a plain wait on a
+// fault-free run, the deadline ladder under a fault schedule. recheck
+// runs after each expired rung, because a member may have died since
+// the last check, which is exactly what completes the rendezvous on
+// the survivors.
+func (g *Group) await(op string, ev *sim.Event, recheck func(rank int)) error {
+	t := g.T
+	rt := t.Runtime()
+	if !rt.FaultsOn() {
+		ev.Wait(t.P)
+		return nil
 	}
-	for i, m := range g.Members {
-		if g.T.Alive(m) && !st.inGen[i] {
-			return
+	attempts, err := rt.RetryPolicy().AwaitEvent(t.P, ev, g.st.cost, func(int) error {
+		t.FaultEvent("timeout", t.ID, 0)
+		if t.Failed() {
+			return fault.ErrNodeDown
 		}
+		recheck(g.Rank)
+		return nil
+	})
+	if err != nil {
+		return &fault.CommError{Op: op, Src: t.ID, Dst: t.ID, Attempts: attempts, Err: err}
 	}
-	ev := st.ev
-	st.notified = 0
-	for i := range st.inGen {
-		st.inGen[i] = false
-	}
-	st.ev = &sim.Event{}
-	g.T.Runtime().Eng.After(st.cost, ev.Fire)
+	return nil
 }
 
 // collective runs one group-scoped rendezvous (same machinery as the
@@ -235,67 +190,18 @@ func (g *Group) collective(val any, combine func([]any) any) any {
 // members' slots stay nil and combine closures skip them — and a
 // rendezvous that can never complete returns a typed error.
 func (g *Group) collectiveErr(val any, combine func([]any) any) (any, error) {
-	end := g.T.P.TraceSpanArg("group", "collective", "", int64(g.st.n))
-	defer end()
-	st := g.st
-	seq := st.collSeq[g.T.ID]
-	st.collSeq[g.T.ID] = seq + 1
-	for len(st.colls) <= seq {
-		st.colls = append(st.colls, nil)
-	}
-	if st.colls[seq] == nil {
-		st.colls[seq] = &collSlot{vals: make([]any, st.n), present: make([]bool, st.n), ev: &sim.Event{}}
-	}
-	slot := st.colls[seq]
-	slot.vals[g.Rank] = val
-	slot.arrived++
 	t := g.T
-	rt := t.Runtime()
-	if !rt.FaultsOn() {
-		if slot.arrived == st.n {
-			slot.result = combine(slot.vals)
-			rt.Eng.After(st.cost, slot.ev.Fire)
-		}
-		slot.ev.Wait(t.P)
-		return slot.result, nil
-	}
+	end := t.P.TraceSpanArg("group", "collective", "", int64(len(g.Members)))
+	defer end()
+	colls := g.st.colls
+	slot := colls.Join(g.Rank, val, g.st.cost, combine)
 	if t.Failed() {
 		return nil, &fault.CommError{Op: "group-collective", Src: t.ID, Dst: t.ID, Err: fault.ErrNodeDown}
 	}
-	slot.present[g.Rank] = true
-	slot.combine = combine
-	g.maybeFire(slot)
-	rp := rt.RetryPolicy()
-	attempts := 0
-	for try := 0; try <= rp.MaxRetries; try++ {
-		attempts++
-		if slot.ev.WaitTimeout(t.P, rp.AttemptTimeout(try, st.cost)) {
-			return slot.result, nil
-		}
-		t.FaultEvent("timeout", t.ID, 0)
-		if t.Failed() {
-			return nil, &fault.CommError{Op: "group-collective", Src: t.ID, Dst: t.ID,
-				Attempts: attempts, Err: fault.ErrNodeDown}
-		}
-		g.maybeFire(slot)
+	if err := g.await("group-collective", slot.Done(), func(rank int) { colls.Recheck(slot, rank) }); err != nil {
+		return nil, err
 	}
-	return nil, &fault.CommError{Op: "group-collective", Src: t.ID, Dst: t.ID,
-		Attempts: attempts, Err: fault.ErrTimeout}
-}
-
-// maybeFire fires a collective slot once every live member is present.
-func (g *Group) maybeFire(slot *collSlot) {
-	if slot.fired || slot.arrived == 0 {
-		return
-	}
-	for i, m := range g.Members {
-		if g.T.Alive(m) && !slot.present[i] {
-			return
-		}
-	}
-	slot.fired = true
-	slot.result = slot.combine(slot.vals)
-	g.T.Runtime().Eng.After(g.st.cost, slot.ev.Fire)
+	return slot.Result(), nil
 }
 
 // ReduceSum sums one float64 contribution per member and returns the total
@@ -311,15 +217,7 @@ func (g *Group) ReduceSum(v float64) float64 {
 // ReduceSumErr is ReduceSum with failure detection: it completes over the
 // live members and returns a typed error when the rendezvous cannot.
 func (g *Group) ReduceSumErr(v float64) (float64, error) {
-	r, err := g.collectiveErr(v, func(vals []any) any {
-		s := 0.0
-		for _, x := range vals {
-			if x != nil {
-				s += x.(float64)
-			}
-		}
-		return s
-	})
+	r, err := g.collectiveErr(v, sum[float64])
 	if err != nil {
 		return 0, err
 	}
@@ -329,16 +227,19 @@ func (g *Group) ReduceSumErr(v float64) (float64, error) {
 // ReduceSumInt sums one int64 contribution per member. Dead members
 // contribute zero.
 func (g *Group) ReduceSumInt(v int64) int64 {
-	r := g.collective(v, func(vals []any) any {
-		var s int64
-		for _, x := range vals {
-			if x != nil {
-				s += x.(int64)
-			}
+	return g.collective(v, sum[int64]).(int64)
+}
+
+// sum adds the members' contributions, skipping the nil entries of
+// members that died before contributing.
+func sum[T int64 | float64](vals []any) any {
+	var s T
+	for _, x := range vals {
+		if x != nil {
+			s += x.(T)
 		}
-		return s
-	})
-	return r.(int64)
+	}
+	return s
 }
 
 // Broadcast distributes the leader's value to every member.

@@ -137,6 +137,40 @@ func TestCrashSurfacesTypedErrors(t *testing.T) {
 	pinned()
 }
 
+// TestStaleEpochFailsStraddlingRendezvousSend mirrors the UPC epoch
+// fence test: a rendezvous send issued before node 1 crashes, whose
+// payload lands after the node's revival, is dropped by the delivery
+// fence. The fabric-level op still completes, so the sender must see a
+// typed ErrStaleEpoch rather than a success.
+func TestStaleEpochFailsStraddlingRendezvousSend(t *testing.T) {
+	sched := &fault.Schedule{Actions: []fault.Action{
+		{Op: fault.OpCrash, At: 0.001, Until: 0.00105, Node: 1, Src: -1, Dst: -1},
+	}}
+	cf := chaosCfg(sched)
+	col := trace.NewCollector()
+	cf.Tracer = col
+	var sendErr error
+	_, err := Run(cf, func(c *Comm) {
+		if c.Rank == 0 {
+			c.P.Advance(900 * sim.Microsecond)
+			sendErr = c.SendModelErr(2, 1<<20)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(sendErr, fault.ErrStaleEpoch) {
+		t.Fatalf("straddling rendezvous send: err = %v, want ErrStaleEpoch", sendErr)
+	}
+	var ce *fault.CommError
+	if !errors.As(sendErr, &ce) || ce.Op != "send" || ce.Dst != 2 {
+		t.Errorf("straddling send error = %#v, want CommError{Op: send, Dst: 2}", sendErr)
+	}
+	if col.Count(trace.CatComm, "stale-drop") == 0 {
+		t.Error("no stale-drop instant: the fence never fired")
+	}
+}
+
 // TestChaosDeterministicAndCorrect: a probabilistic chaos schedule must
 // give byte-identical payloads to a fault-free run and an identical
 // virtual timeline across repeats of the same (seed, schedule).

@@ -59,8 +59,8 @@ type World struct {
 	rxQ     []sim.WaitQueue
 	nodes   int
 	barCost sim.Duration
-	bar     *barrier
-	colls   []*collSlot
+	bar     *sim.Rendezvous
+	colls   *sim.Collective
 
 	inj   *fault.Injector
 	retry fault.RetryPolicy
@@ -74,18 +74,6 @@ type message struct {
 	bytes   int64
 	data    []byte
 	arrived *sim.Event
-}
-
-type barrier struct {
-	n, arrived int
-	ev         *sim.Event
-}
-
-type collSlot struct {
-	arrived int
-	vals    []any
-	result  any
-	ev      *sim.Event
 }
 
 // Stats summarizes a completed run.
@@ -102,8 +90,6 @@ type Comm struct {
 	Size  int
 	Place topo.Place
 	ep    *fabric.Endpoint
-
-	collSeq int
 }
 
 // Run executes main on every rank and returns run statistics.
@@ -166,7 +152,10 @@ func NewWorld(cfg Config) (*World, error) {
 	w.edges = trace.WantsEdge(eng.Tracer())
 	w.nodes = (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
 	w.barCost = cl.BarrierCost(w.nodes)
-	w.bar = &barrier{n: cfg.Ranks, ev: &sim.Event{}}
+	// MPI ranks never retire: a crashed rank simply stops arriving, and
+	// the fault-aware waits diagnose the stall (BarrierErr).
+	w.bar = sim.NewRendezvous(eng, cfg.Ranks, w.barCost, nil, nil)
+	w.colls = sim.NewCollective(eng, cfg.Ranks, nil, nil)
 	for i := range w.eps {
 		w.eps[i] = cl.MustEndpoint(places[i].Node)
 	}
@@ -223,7 +212,8 @@ func (c *Comm) transfer(dst int, bytes int64, apply func()) *fabric.NetOp {
 		}
 		return op
 	}
-	return c.ep.PutAsync(c.P, w.eps[dst], bytes, c.fencePayload(dst, bytes, apply))
+	return c.ep.PutAsync(c.P, w.eps[dst], bytes,
+		w.inj.Fence(c.Rank, dst, c.Place.Node, dstPlace.Node, bytes, apply))
 }
 
 // post enqueues a matching record of the given byte volume at the
@@ -276,16 +266,11 @@ func (c *Comm) SendrecvModel(dst int, bytes int64, src int) {
 // delivered in send order. Under an installed fault schedule it recovers
 // lost messages and panics with the typed error RecvErr would return.
 func (c *Comm) Recv(src int) []byte {
-	if c.w.faultsOn() {
-		data, err := c.RecvErr(src)
-		if err != nil {
-			panic(err)
-		}
-		return data
+	data, err := c.RecvErr(src)
+	if err != nil {
+		panic(err)
 	}
-	m := c.match(src)
-	m.arrived.Wait(c.P)
-	return m.data
+	return data
 }
 
 // match dequeues the oldest inbox record from src, blocking until one is
@@ -336,45 +321,23 @@ func (c *Comm) Sendrecv(dst int, data []byte, src int) []byte {
 // schedule it panics with the typed error BarrierErr would return
 // instead of hanging on a crashed rank.
 func (c *Comm) Barrier() {
-	if c.w.faultsOn() {
-		if err := c.BarrierErr(); err != nil {
-			panic(err)
-		}
-		return
+	if err := c.BarrierErr(); err != nil {
+		panic(err)
 	}
-	ev := c.notifyBarrier()
-	ev.Wait(c.P)
-}
-
-// notifyBarrier registers arrival at the world barrier and returns the
-// generation's release event; the last arrival books the release.
-func (c *Comm) notifyBarrier() *sim.Event {
-	b := c.w.bar
-	ev := b.ev
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.ev = &sim.Event{}
-		c.w.Eng.After(c.w.barCost, ev.Fire)
-	}
-	return ev
 }
 
 // AllreduceSum sums one float64 per rank on every rank (MPI_Allreduce).
 func (c *Comm) AllreduceSum(v float64) float64 {
-	r := c.collective(v, func(vals []any) any {
-		s := 0.0
-		for _, x := range vals {
-			s += x.(float64)
-		}
-		return s
-	})
-	return r.(float64)
+	r, err := c.AllreduceSumErr(v)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // AllreduceMax takes the max of one float64 per rank on every rank.
 func (c *Comm) AllreduceMax(v float64) float64 {
-	r := c.collective(v, func(vals []any) any {
+	r, err := c.collectiveErr(v, func(vals []any) any {
 		m := vals[0].(float64)
 		for _, x := range vals[1:] {
 			if f := x.(float64); f > m {
@@ -383,47 +346,24 @@ func (c *Comm) AllreduceMax(v float64) float64 {
 		}
 		return m
 	})
-	return r.(float64)
-}
-
-func (c *Comm) collective(val any, combine func([]any) any) any {
-	r, err := c.collectiveErr(val, combine)
 	if err != nil {
 		panic(err)
 	}
-	return r
+	return r.(float64)
 }
 
 // collectiveErr joins the rank's next collective slot and waits for its
 // release — through the failure-detecting deadline ladder when a fault
 // schedule is installed.
 func (c *Comm) collectiveErr(val any, combine func([]any) any) (any, error) {
-	w := c.w
-	for len(w.colls) <= c.collSeq {
-		w.colls = append(w.colls, nil)
-	}
-	if w.colls[c.collSeq] == nil {
-		w.colls[c.collSeq] = &collSlot{vals: make([]any, c.Size), ev: &sim.Event{}}
-	}
-	slot := w.colls[c.collSeq]
-	c.collSeq++
-	slot.vals[c.Rank] = val
-	slot.arrived++
-	if slot.arrived == c.Size {
-		slot.result = combine(slot.vals)
-		w.Eng.After(w.barCost, slot.ev.Fire)
-	}
-	if !w.faultsOn() {
-		slot.ev.Wait(c.P)
-		return slot.result, nil
-	}
-	if w.nodeDown(c.Place.Node) {
+	slot := c.w.colls.Join(c.Rank, val, c.w.barCost, combine)
+	if c.Failed() {
 		return nil, c.commError("allreduce", c.Rank, 0, fault.ErrNodeDown)
 	}
-	if err := c.waitLadder(slot.ev, "allreduce", w.barCost); err != nil {
+	if err := c.await("allreduce", slot.Done()); err != nil {
 		return nil, err
 	}
-	return slot.result, nil
+	return slot.Result(), nil
 }
 
 // Request is a handle to a non-blocking point-to-point operation.

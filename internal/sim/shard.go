@@ -75,17 +75,20 @@ func ShardWorkers() int {
 	return shardWorkers
 }
 
-// MessageVerdict is a fault filter's decision for one cross-lane
-// message. It mirrors fabric's injection verdicts so internal/fault
-// schedules can drive the sharded engine too.
+// MessageVerdict is a fault model's decision about one injected
+// message: a fabric.Cluster message or a cross-lane message of the
+// sharded engine. internal/fault schedules produce it for both.
 type MessageVerdict uint8
 
 const (
 	// MsgDeliver passes the message through unharmed.
 	MsgDeliver MessageVerdict = iota
-	// MsgDrop discards the message in flight.
+	// MsgDrop discards the message in flight. A dropped fabric op's
+	// Remote event never fires; callers detect the loss by timeout.
 	MsgDrop
-	// MsgDuplicate delivers the message twice.
+	// MsgDuplicate delivers the message twice, so a payload apply runs
+	// twice. Copies are idempotent; an apply that is not (an active
+	// message's read-modify-write) must guard itself.
 	MsgDuplicate
 	// MsgDelay adds the returned extra latency before delivery.
 	MsgDelay

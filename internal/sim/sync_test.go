@@ -209,3 +209,75 @@ func TestEventWaitBeforeAndAfterFire(t *testing.T) {
 		t.Error("event should report fired")
 	}
 }
+
+// TestRendezvousReleasesAfterCost: without a liveness predicate a
+// generation releases at the last arrival plus the cost, observed once
+// per arrival and once per release, and the next generation reuses it.
+func TestRendezvousReleasesAfterCost(t *testing.T) {
+	e := New(1)
+	var seen []string
+	r := NewRendezvous(e, 2, 7, nil, func(rank int, seq int64, release bool) {
+		seen = append(seen, fmt.Sprintf("%d/%d/%v", rank, seq, release))
+	})
+	var releases []Time
+	for i, d := range []Duration{5, 20} {
+		i, d := i, d
+		e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for gen := 0; gen < 2; gen++ {
+				p.Advance(d)
+				r.Arrive(i).Wait(p)
+				releases = append(releases, p.Now())
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{27, 27, 54, 54}; fmt.Sprint(releases) != fmt.Sprint(want) {
+		t.Errorf("releases at %v, want %v", releases, want)
+	}
+	if got := fmt.Sprint(seen); got != "[0/0/false 1/0/false 1/0/true 0/1/false 1/1/false 1/1/true]" {
+		t.Errorf("observed %s", got)
+	}
+}
+
+// TestRendezvousSkipsDeadRanks: with a liveness predicate a dead rank
+// is not waited for, and a rank dying mid-generation completes it on
+// Recheck.
+func TestRendezvousSkipsDeadRanks(t *testing.T) {
+	e := New(1)
+	dead := []bool{false, false, true}
+	live := func(rank int) bool { return !dead[rank] }
+	r := NewRendezvous(e, 3, 0, live, nil)
+	c := NewCollective(e, 3, live, nil)
+	var sum any
+	e.Go("p0", func(p *Proc) {
+		r.Arrive(0).Wait(p) // released by rank 1's death below
+		s := c.Join(0, 4, 0, func(vals []any) any {
+			n := 0
+			for _, v := range vals {
+				if v != nil {
+					n += v.(int)
+				}
+			}
+			return n
+		})
+		s.Done().Wait(p)
+		sum = s.Result()
+	})
+	e.Go("p1", func(p *Proc) {
+		p.Advance(10)
+		dead[1] = true
+		r.Recheck(1)
+		c.Recheck(nil, 1)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sum != 4 {
+		t.Errorf("collective over the lone survivor = %v, want 4", sum)
+	}
+	if r.Gen() != 1 {
+		t.Errorf("generation = %d, want 1", r.Gen())
+	}
+}

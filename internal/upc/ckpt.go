@@ -109,7 +109,7 @@ func (rt *Runtime) ckptBuddy(id int) int {
 		if p == id {
 			continue
 		}
-		if !rt.dead[p] && !(rt.faultsOn() && rt.Cluster.NodeDown(rt.places[p].Node)) {
+		if !rt.dead[p] && !(rt.FaultsOn() && rt.Cluster.NodeDown(rt.places[p].Node)) {
 			return p
 		}
 	}
@@ -123,7 +123,7 @@ func (rt *Runtime) ckptBuddy(id int) int {
 // shipment keeps the previous replica.
 func (t *Thread) runCkpt(gen int64) {
 	rt := t.rt
-	if rt.faultsOn() && (rt.dead[t.ID] || t.Failed()) {
+	if rt.FaultsOn() && (rt.dead[t.ID] || t.Failed()) {
 		return
 	}
 	var snaps []any
@@ -167,7 +167,7 @@ func (t *Thread) runCkpt(gen int64) {
 // good sees false and should Retire permanently.
 func (t *Thread) ReviveScheduled() bool {
 	rt := t.rt
-	return rt.faultsOn() && rt.inj.WillRevive(t.Place.Node)
+	return rt.FaultsOn() && rt.inj.WillRevive(t.Place.Node)
 }
 
 // AwaitRevive parks the thread until its node's scheduled revival.
@@ -175,7 +175,7 @@ func (t *Thread) ReviveScheduled() bool {
 // never wake. Returns immediately when the node is up.
 func (t *Thread) AwaitRevive() {
 	rt := t.rt
-	if !rt.faultsOn() {
+	if !rt.FaultsOn() {
 		return
 	}
 	node := t.Place.Node
@@ -194,7 +194,7 @@ func (t *Thread) AwaitRevive() {
 // probe sets) itself. No-op unless the thread actually retired.
 func (t *Thread) Rejoin() int64 {
 	rt := t.rt
-	if !rt.faultsOn() || !rt.dead[t.ID] {
+	if !rt.FaultsOn() || !rt.dead[t.ID] {
 		return 0
 	}
 	rt.dead[t.ID] = false

@@ -16,11 +16,8 @@ import (
 // the survivors finish the run. Without a schedule every hook collapses
 // to a nil check and the runtime behaves exactly as before.
 
-// faultsOn reports whether this run has a fault schedule installed.
-func (rt *Runtime) faultsOn() bool { return rt.inj != nil }
-
 // FaultsOn reports whether a fault schedule is installed on this run.
-func (rt *Runtime) FaultsOn() bool { return rt.faultsOn() }
+func (rt *Runtime) FaultsOn() bool { return rt.inj != nil }
 
 // RetryPolicy reports the run's active retry policy (zero when no fault
 // schedule is installed).
@@ -33,14 +30,14 @@ func (rt *Runtime) LiveThreads() int { return rt.Cfg.Threads - rt.nDead }
 // run's fault schedule. Fault-tolerant applications poll it at work-loop
 // boundaries and Retire when it reports true.
 func (t *Thread) Failed() bool {
-	return t.rt.faultsOn() && t.rt.Cluster.NodeDown(t.Place.Node)
+	return t.rt.FaultsOn() && t.rt.Cluster.NodeDown(t.Place.Node)
 }
 
 // Alive reports whether peer is usable as a communication target: it has
 // not retired and its node is up. Always true without a fault schedule.
 func (t *Thread) Alive(peer int) bool {
 	rt := t.rt
-	if !rt.faultsOn() {
+	if !rt.FaultsOn() {
 		return true
 	}
 	return !rt.dead[peer] && !rt.Cluster.NodeDown(rt.places[peer].Node)
@@ -59,12 +56,8 @@ func (t *Thread) Retire() {
 	rt.dead[t.ID] = true
 	rt.nDead++
 	t.FaultEvent("retire", t.ID, 0)
-	rt.bar.maybeRelease(rt, t.ID)
-	for _, slot := range rt.colls {
-		if slot != nil && !slot.fired && slot.combine != nil && slot.complete(rt) {
-			slot.fire(rt, t.ID)
-		}
-	}
+	rt.bar.Recheck(t.ID)
+	rt.colls.Recheck(nil, t.ID)
 }
 
 // FaultEvent emits one recovery-visibility instant (comm-matrix class
@@ -78,152 +71,40 @@ func (t *Thread) FaultEvent(name string, peer int, bytes int64) {
 		trace.PackEndpoints(t.ID, peer, t.Place.Node, t.rt.places[peer].Node))
 }
 
-// networkPath reports whether a transfer to peer crosses the NIC (the
-// conduit or its loopback) — the paths where messages can be lost.
-// Shared-memory copies are not subject to message faults.
-func (t *Thread) networkPath(peer int) bool {
-	if peer == t.ID {
-		return false
-	}
-	return !(topo.SameNode(t.Place, t.rt.places[peer]) && t.rt.Cfg.sharedMem())
-}
-
 // retriable reports whether an op toward peer needs timeout/retry
-// protection: only network paths under an installed fault schedule.
+// protection: only network paths (the conduit or its loopback) under an
+// installed fault schedule. Shared-memory copies cannot lose messages.
 func (t *Thread) retriable(peer int) bool {
-	return t.rt.faultsOn() && t.networkPath(peer)
+	return t.rt.FaultsOn() && peer != t.ID &&
+		!(topo.SameNode(t.Place, t.rt.places[peer]) && t.rt.Cfg.sharedMem())
 }
 
-// nodeInc reports the current incarnation of peer's node. Only call
-// under an installed fault schedule.
-func (t *Thread) nodeInc(peer int) int64 {
-	return t.rt.inj.Incarnation(t.rt.places[peer].Node)
-}
-
-// epochStale reports whether an op issued when this thread's node and
-// peer's node had incarnations (si, pi) now straddles a reincarnation
-// of either end — the membership-epoch fence.
-func (t *Thread) epochStale(peer int, si, pi int64) bool {
-	return t.nodeInc(t.ID) != si || t.nodeInc(peer) != pi
-}
-
-// fenceApply wraps a network payload apply with the delivery-time
-// membership-epoch fence: if either endpoint node was reincarnated
-// since issue, or the destination is down at delivery, the payload is
-// dropped (with a comm-matrix "stale-drop" instant) instead of
-// corrupting the new life's restored state. Fault-free runs and
-// payload-free transfers pass through untouched, keeping the hot path
-// allocation-free.
-func (t *Thread) fenceApply(peer int, bytes int64, apply func()) func() {
-	rt := t.rt
-	if apply == nil || !rt.faultsOn() {
-		return apply
-	}
-	srcN, dstN := t.Place.Node, rt.places[peer].Node
-	si, pi := rt.inj.Incarnation(srcN), rt.inj.Incarnation(dstN)
-	tid, pid := t.ID, peer
-	return func() {
-		if rt.inj.Incarnation(srcN) != si || rt.inj.Incarnation(dstN) != pi ||
-			rt.Cluster.NodeDown(dstN) {
-			if rt.Eng.Tracing() {
-				rt.Eng.TraceInstant(trace.CatComm, "stale-drop", trace.ClassFault,
-					bytes, trace.PackEndpoints(tid, pid, srcN, dstN))
-			}
-			return
-		}
-		apply()
-	}
-}
-
-// expectXfer estimates the fault-free completion time of a transfer, fed
-// into the retry policy's per-attempt timeouts so big payloads on slow
-// conduits are not declared lost while still streaming.
-func (t *Thread) expectXfer(bytes int64) sim.Duration {
-	cond := &t.rt.Cluster.Conduit
-	return 2*cond.Latency + sim.TransferTime(bytes, cond.ConnBW)
-}
-
-// commError builds the typed failure of an exhausted recovery.
-func (t *Thread) commError(op string, peer, attempts int, cause error) error {
-	return &fault.CommError{Op: op, Src: t.ID, Dst: peer, Attempts: attempts, Err: cause}
-}
-
-// reliableWait drives an already-issued network op to completion under
-// the retry policy: each attempt gets a growing virtual-time deadline;
-// on timeout the op is re-issued after a capped exponential backoff
-// (payload applies are idempotent copies, so a late original delivery or
-// an injected duplicate is harmless). Returns the op that completed, or
-// a typed CommError when retries are exhausted or a node died.
-func (t *Thread) reliableWait(opName string, peer int, bytes int64,
-	op *fabric.NetOp, reissue func() *fabric.NetOp, si, pi int64) (*fabric.NetOp, error) {
-	rp := t.rt.retry
-	xfer := t.expectXfer(bytes)
-	attempts := 1
-	for try := 0; ; try++ {
-		if op.Remote.WaitTimeout(t.P, rp.AttemptTimeout(try, xfer)) {
-			// The fabric-level completion fired, but if an endpoint was
-			// reincarnated since issue the delivery-time fence dropped the
-			// payload — success here would be a lie.
-			if t.epochStale(peer, si, pi) {
-				op.Release()
-				return nil, t.commError(opName, peer, attempts, fault.ErrStaleEpoch)
-			}
-			return op, nil
-		}
-		t.FaultEvent("timeout", peer, bytes)
-		// Epoch fence before the liveness checks: an endpoint that crashed
-		// AND revived within the timeout window is alive again, but the op
-		// belongs to its previous incarnation — retrying it into the new
-		// life would bypass the checkpoint restore. Typed as ErrStaleEpoch
-		// so callers reissue fresh operations instead.
-		if t.epochStale(peer, si, pi) {
-			op.Release()
-			return nil, t.commError(opName, peer, attempts, fault.ErrStaleEpoch)
-		}
-		if t.Failed() || !t.Alive(peer) {
-			op.Release()
-			return nil, t.commError(opName, peer, attempts, fault.ErrNodeDown)
-		}
-		if try >= rp.MaxRetries {
-			op.Release()
-			return nil, t.commError(opName, peer, attempts, fault.ErrTimeout)
-		}
-		t.P.Advance(rp.BackoffFor(try + 1))
-		// The peer may have crashed (or crossed a reincarnation) while we
-		// backed off.
-		if t.epochStale(peer, si, pi) {
-			op.Release()
-			return nil, t.commError(opName, peer, attempts, fault.ErrStaleEpoch)
-		}
-		if t.Failed() || !t.Alive(peer) {
-			op.Release()
-			return nil, t.commError(opName, peer, attempts, fault.ErrNodeDown)
-		}
-		t.FaultEvent("retry", peer, bytes)
-		if t.rt.edges {
-			t.P.TraceInstant(trace.CatEdge, trace.EdgeRetry, opName, int64(attempts),
-				trace.PackEndpoints(t.ID, peer, t.Place.Node, t.rt.places[peer].Node))
-		}
-		// Abandon the timed-out op before reissuing: dropping the hold lets
-		// its pooled record recycle once any in-flight legs (a delayed
-		// original, an injected duplicate) drain. Nothing reads it again —
-		// the handle is repointed at the reissue.
-		op.Release()
-		op = reissue()
-		attempts++
-	}
-}
-
-// armRetry attaches the retry context to a freshly issued async handle
-// when the op needs protection; WaitSync then recovers lost messages
-// transparently. No-op (and no allocation is retained) otherwise.
-func (t *Thread) armRetry(h *Handle, opName string, peer int, bytes int64,
-	reissue func() *fabric.NetOp) {
+// issue starts an op toward peer and returns its handle. On a protected
+// path it fails fast when either end is already down, and arms the
+// handle with the retry context, so WaitSync recovers lost messages
+// transparently.
+func (t *Thread) issue(op string, peer int, bytes int64, start func() *fabric.NetOp) (*Handle, error) {
 	if !t.retriable(peer) {
-		return
+		return &Handle{op: start()}, nil
 	}
-	h.t, h.opName, h.peer, h.bytes, h.reissue = t, opName, peer, bytes, reissue
-	h.srcInc, h.dstInc = t.nodeInc(t.ID), t.nodeInc(peer)
+	if t.Failed() || !t.Alive(peer) {
+		return nil, &fault.CommError{Op: op, Src: t.ID, Dst: peer, Err: fault.ErrNodeDown}
+	}
+	rt := t.rt
+	h := &Handle{op: start()}
+	h.leg = &fault.Leg{
+		Stamp: rt.inj.Stamp(t.ID, peer, t.Place.Node, rt.places[peer].Node),
+		Op:    op, Bytes: bytes, Edges: rt.edges, Retired: rt.dead,
+		// Abandon the timed-out op before reissuing: dropping the hold
+		// lets its pooled record recycle once any in-flight legs (a
+		// delayed original, an injected duplicate) drain.
+		Reissue: func() *sim.Event {
+			h.op.Release()
+			h.op = start()
+			return &h.op.Remote
+		},
+	}
+	return h, nil
 }
 
 // WaitSyncErr blocks until the asynchronous operation completes,
@@ -234,21 +115,15 @@ func (t *Thread) WaitSyncErr(h *Handle) error {
 	if h.op == nil {
 		return nil
 	}
-	if h.reissue == nil {
-		op := h.op
-		h.op = nil
-		op.WaitRemote(t.P)
-		op.Release()
-		return nil
+	var err error
+	if h.leg == nil {
+		h.op.WaitRemote(t.P)
+	} else {
+		err = t.rt.inj.Retry(t.P, t.rt.retry, &h.op.Remote, *h.leg)
 	}
-	op, err := t.reliableWait(h.opName, h.peer, h.bytes, h.op, h.reissue, h.srcInc, h.dstInc)
-	h.reissue = nil
-	h.op = nil // the wait consumed the operation either way; Try reads done
-	if err != nil {
-		return err
-	}
-	op.Release()
-	return nil
+	h.op.Release()
+	h.op, h.leg = nil, nil // the wait consumed the operation either way; Try reads done
+	return err
 }
 
 // BarrierErr is Barrier with failure detection: instead of hanging when
@@ -257,32 +132,29 @@ func (t *Thread) WaitSyncErr(h *Handle) error {
 // slow (survivors still arriving within the deadlines) succeeds.
 func (t *Thread) BarrierErr() error {
 	rt := t.rt
-	if !rt.faultsOn() {
+	if !rt.FaultsOn() {
 		t.Barrier()
 		return nil
 	}
 	if t.Failed() {
-		return t.commError("barrier", t.ID, 0, fault.ErrNodeDown)
+		return &fault.CommError{Op: "barrier", Src: t.ID, Dst: t.ID, Err: fault.ErrNodeDown}
 	}
 	t.flushXlateCounters()
 	end := t.P.TraceSpan("upc", "barrier")
 	defer end()
-	gen := rt.bar.seq
-	ev := rt.bar.notify(rt, t.ID)
-	rp := rt.retry
-	attempts := 0
-	for try := 0; try <= rp.MaxRetries; try++ {
-		attempts++
-		if ev.WaitTimeout(t.P, rp.AttemptTimeout(try, rt.barCost)) {
-			t.maybeCkpt(gen)
-			return nil
-		}
+	gen := rt.bar.Gen()
+	attempts, err := rt.retry.AwaitEvent(t.P, rt.bar.Arrive(t.ID), rt.barCost, func(int) error {
 		t.FaultEvent("timeout", t.ID, 0)
 		if t.Failed() {
-			return t.commError("barrier", t.ID, attempts, fault.ErrNodeDown)
+			return fault.ErrNodeDown
 		}
+		return nil
+	})
+	if err != nil {
+		return &fault.CommError{Op: "barrier", Src: t.ID, Dst: t.ID, Attempts: attempts, Err: err}
 	}
-	return t.commError("barrier", t.ID, attempts, fault.ErrTimeout)
+	t.maybeCkpt(gen)
+	return nil
 }
 
 // ---- Error-returning one-sided operations ----
@@ -323,12 +195,10 @@ func (t *Thread) GetBytesErr(src int, bytes int64) error {
 		op.Release()
 		return nil
 	}
-	if t.Failed() || !t.Alive(src) {
-		return t.commError("get", src, 0, fault.ErrNodeDown)
+	h, err := t.issue("get", src, bytes, func() *fabric.NetOp { return t.getBytes(src, bytes, nil) })
+	if err != nil {
+		return err
 	}
-	issue := func() *fabric.NetOp { return t.getBytes(src, bytes, nil) }
-	h := &Handle{op: issue()}
-	t.armRetry(h, "get", src, bytes, issue)
 	return t.WaitSyncErr(h)
 }
 
@@ -339,13 +209,7 @@ func (t *Thread) putBytesAsyncErr(dst int, bytes int64, apply func()) (*Handle, 
 	if !t.retriable(dst) {
 		return &Handle{op: t.putBytes(dst, bytes, apply)}, nil
 	}
-	if t.Failed() || !t.Alive(dst) {
-		return nil, t.commError("put", dst, 0, fault.ErrNodeDown)
-	}
-	issue := func() *fabric.NetOp { return t.putBytes(dst, bytes, apply) }
-	h := &Handle{op: issue()}
-	t.armRetry(h, "put", dst, bytes, issue)
-	return h, nil
+	return t.issue("put", dst, bytes, func() *fabric.NetOp { return t.putBytes(dst, bytes, apply) })
 }
 
 // PutAsyncTErr is PutAsyncT with typed range errors and a retry-armed
@@ -381,19 +245,14 @@ func GetAsyncTErr[T any](t *Thread, s *Shared[T], dst []T, owner, off int) (*Han
 	if err := checkRangeErr(len(s.segs[owner]), off, len(dst), "Get"); err != nil {
 		return nil, err
 	}
-	if t.retriable(owner) && (t.Failed() || !t.Alive(owner)) {
-		return nil, t.commError("get", owner, 0, fault.ErrNodeDown)
-	}
 	src := s.segs[owner]
 	n := len(dst)
-	issue := func() *fabric.NetOp {
-		return t.getBytes(owner, int64(n*s.elemBytes), func() {
+	bytes := int64(n * s.elemBytes)
+	return t.issue("get", owner, bytes, func() *fabric.NetOp {
+		return t.getBytes(owner, bytes, func() {
 			copy(dst, src[off:off+n])
 		})
-	}
-	h := &Handle{op: issue()}
-	t.armRetry(h, "get", owner, int64(n*s.elemBytes), issue)
-	return h, nil
+	})
 }
 
 // GetTErr is GetT with fault recovery and typed errors.

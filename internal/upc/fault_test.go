@@ -132,6 +132,28 @@ func TestRetireReleasesCollective(t *testing.T) {
 	}
 }
 
+// TestApplyAsyncAppliesOnceUnderDuplicates: every cross-node message
+// is duplicated, so the fabric delivers an active message twice. Its
+// apply need not be idempotent (RandomAccess XORs), so it must still run
+// exactly once.
+func TestApplyAsyncAppliesOnceUnderDuplicates(t *testing.T) {
+	sched := &fault.Schedule{Actions: []fault.Action{
+		{Op: fault.OpDuplicate, At: 0, Prob: 1, Src: -1, Dst: -1},
+	}}
+	applied := 0
+	_, err := Run(faultCfg(sched), func(th *Thread) {
+		if th.ID == 0 {
+			th.WaitSync(ApplyAsync(th, 4, 8, func() { applied++ }))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied != 1 {
+		t.Errorf("duplicated active message applied %d times, want 1", applied)
+	}
+}
+
 // TestBarrierErrTimesOut: a peer that never arrives (and never retires)
 // must not hang BarrierErr — the deadline ladder runs dry and returns a
 // typed timeout.

@@ -108,7 +108,8 @@ type Runtime struct {
 
 	nodesUsed int
 	barCost   sim.Duration
-	bar       *phaseBarrier
+	bar       *sim.Rendezvous
+	colls     *sim.Collective
 	// edges is true when the installed tracer opted into completion-edge
 	// instants (trace.EdgeObserver); cached once so the hot paths pay a
 	// single bool test.
@@ -116,7 +117,6 @@ type Runtime struct {
 	allocs    []*sharedShape
 	nextArray uint32 // shared-array ids for translation-cache keys
 	xlate     xlateCosts
-	colls     []*collSlot
 	interned  map[string]any
 
 	// Fault-injection state: inj is nil when the run has no fault
@@ -239,8 +239,15 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 		rt.ckptApps = make([]Checkpointer, cfg.Threads)
 	}
+	// Under a fault schedule the barrier and collectives release over
+	// the threads that have not retired; Retire re-checks them.
+	var live func(id int) bool
+	if inj != nil {
+		live = func(id int) bool { return !rt.dead[id] }
+	}
 	rt.barCost = cl.BarrierCost(rt.nodesUsed)
-	rt.bar = newPhaseBarrier(cfg.Threads)
+	rt.bar = sim.NewRendezvous(eng, cfg.Threads, rt.barCost, live, rt.edgeObserver("barrier"))
+	rt.colls = sim.NewCollective(eng, cfg.Threads, live, rt.edgeObserver("coll"))
 	m := cfg.Machine
 	rt.xlate = xlateCosts{
 		miss:   sim.FromSeconds(m.PtrXlate),
@@ -297,11 +304,21 @@ func (rt *Runtime) Start(main func(t *Thread)) {
 	}
 }
 
-// packSelf packs thread id's identity (thread and node on both ends)
-// into a completion-edge Arg2 (see trace.CatEdge).
-func (rt *Runtime) packSelf(id int) int64 {
-	n := rt.places[id].Node
-	return trace.PackEndpoints(id, id, n, n)
+// edgeObserver emits a rendezvous' arrival and release completion edges
+// (see trace.CatEdge) on the thread's own track, naming the thread on
+// both ends. Nil unless the tracer observes edges.
+func (rt *Runtime) edgeObserver(label string) sim.Observer {
+	if !rt.edges {
+		return nil
+	}
+	return func(id int, seq int64, release bool) {
+		name := trace.EdgeBarArrive
+		if release {
+			name = trace.EdgeBarRelease
+		}
+		n := rt.places[id].Node
+		rt.threads[id].P.TraceInstant(trace.CatEdge, name, label, seq, trace.PackEndpoints(id, id, n, n))
+	}
 }
 
 // Thread reports thread i's context (valid after NewRuntime).

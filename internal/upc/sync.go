@@ -8,81 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// phaseBarrier implements both upc_barrier and the split-phase
-// upc_notify/upc_wait pair: each generation is a sim.Event that fires the
-// dissemination cost after the last notify. Under fault injection a
-// generation releases when every *live* thread has arrived, so a node
-// crash does not hang the survivors (retiring threads re-check pending
-// generations; see Thread.Retire).
-type phaseBarrier struct {
-	n        int
-	notified int
-	seq      int64  // generation sequence number (completion-edge labels)
-	inGen    []bool // which threads notified this generation (faults only)
-	ev       *sim.Event
-}
-
-func newPhaseBarrier(n int) *phaseBarrier {
-	return &phaseBarrier{n: n, inGen: make([]bool, n), ev: &sim.Event{}} //upcvet:poolalloc -- runtime construction, once per SPMD run
-}
-
-// notify registers thread id's arrival and returns the generation's
-// release event. The last live arrival books the release and opens the
-// next generation.
-func (b *phaseBarrier) notify(rt *Runtime, id int) *sim.Event {
-	ev := b.ev
-	b.notified++
-	if rt.edges {
-		rt.threads[id].P.TraceInstant(trace.CatEdge, trace.EdgeBarArrive,
-			"barrier", b.seq, rt.packSelf(id))
-	}
-	if !rt.faultsOn() {
-		// Fast path: no per-thread bookkeeping, a bare counter.
-		if b.notified == b.n {
-			b.release(rt, id)
-		}
-		return ev
-	}
-	b.inGen[id] = true
-	b.maybeRelease(rt, id)
-	return ev
-}
-
-// maybeRelease fires the generation once every live thread has notified.
-// Called on each arrival and again when a thread retires mid-generation,
-// which may be exactly what completes it; id is the thread whose arrival
-// or retirement triggered the check.
-func (b *phaseBarrier) maybeRelease(rt *Runtime, id int) {
-	if b.notified == 0 {
-		return
-	}
-	for i := range b.inGen {
-		if !rt.dead[i] && !b.inGen[i] {
-			return
-		}
-	}
-	b.release(rt, id)
-}
-
-// release fires the current generation after the dissemination cost and
-// opens the next one. id is the last arriver (or the retiring thread
-// whose departure completed the generation) — the thread the release
-// edge blames for every other waiter's delay.
-func (b *phaseBarrier) release(rt *Runtime, id int) {
-	ev := b.ev
-	b.notified = 0
-	for i := range b.inGen {
-		b.inGen[i] = false
-	}
-	if rt.edges {
-		rt.threads[id].P.TraceInstant(trace.CatEdge, trace.EdgeBarRelease,
-			"barrier", b.seq, rt.packSelf(id))
-	}
-	b.seq++
-	b.ev = &sim.Event{} //upcvet:poolalloc -- one event per barrier generation, amortized over THREADS waiters
-	rt.Eng.After(rt.barCost, ev.Fire)
-}
-
 // Lock is a UPC global lock (upc_lock_t). It has a home thread; acquiring
 // it from another node pays a control round trip to the home, contended
 // acquisitions queue FIFO at the home, and the grant pays the return
@@ -159,7 +84,7 @@ func (l *Lock) Lock(t *Thread) {
 // Under fault injection a lock whose home node is down is unacquirable:
 // the probe fails immediately (the control message would be dropped).
 func (l *Lock) TryLock(t *Thread) bool {
-	if t.rt.faultsOn() && !t.Alive(l.home) {
+	if t.rt.FaultsOn() && !t.Alive(l.home) {
 		t.P.TraceInstant("upc", "trylock", "dead-home", int64(l.home), 0)
 		return false
 	}

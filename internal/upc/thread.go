@@ -2,6 +2,7 @@ package upc
 
 import (
 	"repro/internal/fabric"
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -29,7 +30,6 @@ type Thread struct {
 
 	pendingBar *sim.Event
 	allocSeq   int
-	collSeq    int
 	xl         xlateState // shared-pointer translation accounting
 }
 
@@ -89,9 +89,8 @@ func (t *Thread) Castable(other int) bool {
 func (t *Thread) Barrier() {
 	t.flushXlateCounters()
 	end := t.P.TraceSpan("upc", "barrier")
-	gen := t.rt.bar.seq
-	ev := t.rt.bar.notify(t.rt, t.ID)
-	ev.Wait(t.P)
+	gen := t.rt.bar.Gen()
+	t.rt.bar.Arrive(t.ID).Wait(t.P)
 	end()
 	t.maybeCkpt(gen)
 }
@@ -103,7 +102,7 @@ func (t *Thread) BarrierNotify() {
 	}
 	t.flushXlateCounters()
 	t.P.TraceInstant("upc", "barrier-notify", "", 0, 0)
-	t.pendingBar = t.rt.bar.notify(t.rt, t.ID)
+	t.pendingBar = t.rt.bar.Arrive(t.ID)
 }
 
 // BarrierWait completes a split-phase barrier (upc_wait).
@@ -168,19 +167,11 @@ func (t *Thread) ChargeXlate(n int64) {
 // (the bupc_handle_t of the Berkeley extensions).
 type Handle struct {
 	op *fabric.NetOp
-
-	// Retry context, armed when the op was issued on a network path under
-	// an installed fault schedule (see armRetry): WaitSync then recovers
-	// lost messages by re-issuing. All nil/zero on fault-free runs.
-	t       *Thread
-	opName  string
-	peer    int
-	bytes   int64
-	reissue func() *fabric.NetOp
-	// Issue-time incarnations of both endpoint nodes: an op that
-	// straddles a reincarnation of either end is stale and must not be
-	// retried into the new life (fault.ErrStaleEpoch).
-	srcInc, dstInc int64
+	// leg is the retry context, armed when the op was issued on a
+	// network path under an installed fault schedule (see Thread.issue):
+	// WaitSync then recovers lost messages by re-issuing. Nil on
+	// fault-free runs.
+	leg *fault.Leg
 }
 
 // Try reports whether the operation has completed, without blocking.
@@ -211,10 +202,26 @@ func (t *Thread) WaitAll(hs []*Handle) {
 // apply when it is delivered — an active-message-style one-sided
 // operation (the mechanism behind GASNet medium AMs, used e.g. for
 // software-aggregated updates). apply executes in engine context and must
-// not block.
+// not block. On a protected path WaitSync recovers a lost message like
+// any put; apply need not be idempotent, because a duplicated or
+// re-issued delivery runs it at most once. It panics with the typed
+// error of a put toward a node that is already down.
 func ApplyAsync(t *Thread, dst int, bytes int64, apply func()) *Handle {
 	t.P.TraceInstant("upc", "am", "", bytes, int64(dst))
-	return &Handle{op: t.putBytes(dst, bytes, apply)}
+	if t.retriable(dst) {
+		run, applied := apply, false
+		apply = func() {
+			if !applied {
+				applied = true
+				run()
+			}
+		}
+	}
+	h, err := t.putBytesAsyncErr(dst, bytes, apply)
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 // PutBytes performs a one-sided put of the given byte volume toward
@@ -285,7 +292,8 @@ func (t *Thread) putBytes(dst int, bytes int64, apply func()) *fabric.NetOp {
 	if topo.SameNode(t.Place, dstPlace) && rt.Cfg.sharedMem() {
 		return t.localCopy(t.Place, dstPlace, bytes, t.shmOverhead(), apply)
 	}
-	return t.ep.PutAsync(t.P, rt.eps[dst], bytes, t.fenceApply(dst, bytes, apply))
+	return t.ep.PutAsync(t.P, rt.eps[dst], bytes,
+		rt.inj.Fence(t.ID, dst, t.Place.Node, dstPlace.Node, bytes, apply))
 }
 
 // getBytes moves bytes from thread src toward this thread, applying the
@@ -300,7 +308,8 @@ func (t *Thread) getBytes(src int, bytes int64, apply func()) *fabric.NetOp {
 	if topo.SameNode(t.Place, srcPlace) && rt.Cfg.sharedMem() {
 		return t.localCopy(srcPlace, t.Place, bytes, t.shmOverhead(), apply)
 	}
-	return t.ep.GetAsync(t.P, rt.eps[src], bytes, t.fenceApply(src, bytes, apply))
+	return t.ep.GetAsync(t.P, rt.eps[src], bytes,
+		rt.inj.Fence(t.ID, src, t.Place.Node, srcPlace.Node, bytes, apply))
 }
 
 // localCopy is MemCopyAsync on a placement pair the caller's path
